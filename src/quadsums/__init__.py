@@ -3,19 +3,6 @@ extension-operator fields on the torus, arc mollifiers, moments and level
 sets, and scaling-exponent experiments.
 """
 
-import os as _os
-
-# honor the thread override before numpy initializes its BLAS backend
-_threads = _os.environ.get("QUADSUMS_THREADS")
-if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        _os.environ.setdefault(_var, _threads)
-
 from .bump import SmoothBump, bump, smoothstep
 from .quadform import (
     QuadraticForm,

@@ -58,20 +58,11 @@ def _resolve_grid(cfg: RunConfig, form, seq, p) -> TorusGrid:
     if cfg.m_alpha is not None or cfg.m_theta is not None:
         if cfg.m_alpha is None or cfg.m_theta is None:
             raise ValueError("explicit grids need both --m-alpha and --m-theta")
-        return TorusGrid(d, cfg.m_alpha, cfg.m_theta, (0.0,) * (d + 1))
-    N = _require(cfg, "N", "--N")
-    if cfg.grid_policy == "nyquist":
-        if cfg.p != int(cfg.p) or int(cfg.p) % 2 != 0:
-            raise ValueError("nyquist grids need an even integer p")
-        m_alpha, m_theta = moments.nyquist_sizes(form, N, int(p))
-        m_theta = max(m_theta, 2 * seq.radius + 1)
-    elif cfg.grid_policy == "budgeted":
-        m_alpha, m_theta = scaling.budgeted_grid_sizes(
-            form, N, d, p, seq.radius, cfg.max_cells
-        )
+        m_alpha, m_theta = cfg.m_alpha, cfg.m_theta
     else:
-        raise ValueError(
-            f"unknown grid policy {cfg.grid_policy!r} (nyquist or budgeted)"
+        m_alpha, m_theta = scaling.grid_sizes(
+            cfg.grid_policy, form, _require(cfg, "N", "--N"), p, seq.radius,
+            cfg.max_cells,
         )
     return TorusGrid(d, m_alpha, m_theta, (0.0,) * (d + 1))
 
@@ -84,9 +75,7 @@ def cmd_moment(cfg: RunConfig, headline: str = "full") -> int:
     form = parse_form_spec(cfg.form or DEFAULT_FORM)
     seq = make_sequence(cfg.family, form.dim, N, s=cfg.s, seed=cfg.seed)
     grid = _resolve_grid(cfg, form, seq, cfg.p)
-    report = moments.build_report(
-        form, seq, grid, cfg.p, cfg.C, lambdas=cfg.lambdas, with_oracle=True
-    )
+    report = moments.build_report(form, seq, [grid], cfg.p, cfg.C, lambdas=cfg.lambdas)
     order = ("truncated", "full") if headline == "truncated" else ("full", "truncated")
     print(
         f"form={cfg.form or DEFAULT_FORM} family={cfg.family} N={N} "
@@ -107,11 +96,7 @@ def cmd_moment(cfg: RunConfig, headline: str = "full") -> int:
         cfg.out_csv,
         moments.report_csv_header() + "\n" + moments.report_csv_row(report),
     )
-    if (
-        report.oracle_full is not None
-        and report.grid_full is not None
-        and report.exact
-    ):
+    if report.oracle_full is not None and report.exact:
         scale = max(abs(report.oracle_full), 1e-30)
         rel = abs(report.oracle_full - report.grid_full) / scale
         if rel > 1e-6:
@@ -198,7 +183,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
         print(
             f"N={rep.N} full={_fmt(rep.full_moment)} "
             f"truncated={_fmt(rep.truncated_moment)} "
-            f"spread={_fmt(rep.spread if rep.spread is not None else 0.0)}"
+            f"spread={_fmt(rep.spread)}"
         )
     theory = "none" if fit.theory_slope is None else _fmt(fit.theory_slope)
     slope = "nan" if np.isnan(fit.slope) else _fmt(fit.slope)

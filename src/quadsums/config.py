@@ -63,7 +63,6 @@ KNOWN_KEYS = {
     "count": ("count", _to_int),
     "a": ("a", _to_int),
     "q": ("q", _to_int),
-    "beta": ("beta", _to_float),
     "out.csv": ("out_csv", _to_str),
     "out.json": ("out_json", _to_str),
 }
@@ -99,7 +98,6 @@ class RunConfig:
     count: int = 20
     a: int = 1
     q: int = 1
-    beta: float = 0.0
     out_csv: str | None = None
     out_json: str | None = None
 

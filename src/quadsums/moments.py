@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -220,8 +220,6 @@ def layer_cake_moment(field: GridField, p, n_levels: int = 2048) -> float:
 class FieldScan:
     """Accumulated statistics from one pass over a grid field."""
 
-    grid: TorusGrid
-    metadata: dict
     sup: float
     moments: dict
     truncated: dict
@@ -266,8 +264,6 @@ def scan_field(
             counts += hist[::-1].cumsum()[::-1][1:]
     meas = counts / grid.total_cells
     return FieldScan(
-        grid=grid,
-        metadata=_source_metadata(form, source),
         sup=sup,
         moments={p: sums[p] * grid.cell_measure for p in p_values},
         truncated={key: trunc[key] * grid.cell_measure for key in thresholds},
@@ -280,7 +276,7 @@ def scan_field(
 
 @dataclass
 class MomentReport:
-    """One (form, sequence, grid, p, C) measurement with provenance."""
+    """One (form, sequence, grids, p, C) measurement with provenance."""
 
     form_matrix: tuple
     dim: int
@@ -295,9 +291,9 @@ class MomentReport:
     levels: list[tuple[float, float]]
     grid_info: dict
     exact: bool
-    spread: float | None = None
-    oracle_full: float | None = None
-    grid_full: float | None = None
+    spread: float
+    oracle_full: float | None
+    grid_full: float
 
     def json_dict(self) -> dict:
         return {
@@ -316,57 +312,58 @@ class MomentReport:
         return json.dumps(self.json_dict(), sort_keys=True)
 
 
-def _grid_info(grid: TorusGrid, extra: dict | None = None) -> dict:
-    info = {
-        "m_alpha": grid.m_alpha,
-        "m_theta": grid.m_theta,
-        "offset": list(grid.offset),
-        "cells": grid.total_cells,
-    }
-    if extra:
-        info.update(extra)
-    return info
+def _rel_spread(vals: Sequence[float]) -> float:
+    lo, hi = min(vals), max(vals)
+    mid = max(abs(hi), abs(lo))
+    return 0.0 if mid == 0.0 else (hi - lo) / mid
 
 
 def build_report(
     form: QuadraticForm,
     source,
-    grid: TorusGrid,
+    grids: Sequence[TorusGrid],
     p: float,
     C: float = 1.0,
     lambdas: Sequence[float] | None = None,
-    with_oracle: bool = False,
-    oracle_budget: int = 2**26,
 ) -> MomentReport:
-    """Scan the field once and assemble a MomentReport.
+    """Scan the field once per grid and assemble a MomentReport.
 
-    With `with_oracle`, even p also runs the exact counting oracle (budget
-    permitting) and records it; the full moment then reports the exact value.
+    Full and truncated moments and level measures are means over the grids,
+    `sup` is their max, and `spread` is the larger relative spread of the full
+    and truncated moments (0.0 for one grid). Even p also runs the exact
+    counting oracle, budget permitting; the full moment then reports the
+    exact value. `exact` says whether the first grid is Nyquist-exact.
     """
     seq = _as_sequence(source)
-    meta = _source_metadata(form, source)
-    N = meta["N"]
+    N = _source_metadata(form, source)["N"]
     norm_a = seq.l2_norm
     threshold = C * float(N) ** (seq.dim / 4.0) * norm_a
     if lambdas is None:
         bound = (2 * seq.radius + 1) ** (seq.dim / 2.0) * norm_a
         lambdas = np.linspace(0.0, bound, 17)
-    scan = scan_field(
-        form, source, grid,
-        p_values=(p,),
-        thresholds=((p, threshold),),
-        lambdas=lambdas,
-    )
-    exact = nyquist_sufficient(grid, form, N, p)
-    grid_full = scan.moments[p]
+    fulls, truncs, sups = [], [], []
+    level_acc = np.zeros(len(lambdas))
+    for grid in grids:
+        scan = scan_field(
+            form, source, grid,
+            p_values=(p,),
+            thresholds=((p, threshold),),
+            lambdas=lambdas,
+        )
+        fulls.append(scan.moments[p])
+        truncs.append(scan.truncated[(p, threshold)])
+        sups.append(scan.sup)
+        level_acc += [m for _, m in scan.levels]
+    grid_full = float(np.mean(fulls))
     full = grid_full
     oracle_val = None
-    if with_oracle and p == int(p) and int(p) % 2 == 0:
+    if p == int(p) and int(p) % 2 == 0:
         try:
-            oracle_val = even_moment_exact(form, source, int(p), oracle_budget)
+            oracle_val = even_moment_exact(form, source, int(p))
             full = oracle_val
         except ValueError:
-            oracle_val = None
+            pass  # key table over budget: the grid mean stands
+    first = grids[0]
     return MomentReport(
         form_matrix=form.matrix,
         dim=seq.dim,
@@ -376,11 +373,20 @@ def build_report(
         threshold=threshold,
         norm_a=norm_a,
         full_moment=full,
-        truncated_moment=scan.truncated[(p, threshold)],
-        sup=scan.sup,
-        levels=scan.levels,
-        grid_info=_grid_info(grid),
-        exact=exact,
+        truncated_moment=float(np.mean(truncs)),
+        sup=max(sups),
+        # every scan lists the same sorted lambdas
+        levels=[
+            (l, float(m)) for (l, _), m in zip(scan.levels, level_acc / len(grids))
+        ],
+        grid_info={
+            "m_alpha": first.m_alpha,
+            "m_theta": first.m_theta,
+            "offset": list(first.offset),
+            "cells": first.total_cells,
+        },
+        exact=nyquist_sufficient(first, form, N, p),
+        spread=max(_rel_spread(fulls), _rel_spread(truncs)),
         oracle_full=oracle_val,
         grid_full=grid_full,
     )

@@ -31,10 +31,13 @@ __all__ = [
     "fit_experiment",
     "pairwise_slopes",
     "budgeted_grid_sizes",
+    "grid_sizes",
 ]
 
 FAMILIES = ("ones", "delta", "extremizer", "random-unit")
 GRID_POLICIES = ("nyquist", "budgeted")
+# level-set thresholds of each report, in units of N^{d/4}
+LEVEL_MULTIPLIERS = (1.0, 1.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,6 @@ class ScalingExperiment:
     offsets: int = 3
     seed: int = 0
     s: int = 1
-    level_multipliers: tuple[float, ...] = (1.0, 1.5, 2.0)
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.N_list)
@@ -146,6 +148,32 @@ def budgeted_grid_sizes(
     return m_alpha, m_theta
 
 
+def grid_sizes(
+    policy: str,
+    form: QuadraticForm,
+    N: int,
+    p: float,
+    radius: int,
+    max_cells: int,
+) -> tuple[int, int]:
+    """(m_alpha, m_theta) for a grid policy: `budgeted` spends `max_cells` as
+    budgeted_grid_sizes does; `nyquist` takes the exact sizes for an even
+    integer p and refuses a grid of more than `max_cells` cells."""
+    d = form.dim
+    if policy == "budgeted":
+        return budgeted_grid_sizes(form, N, d, p, radius, max_cells)
+    if policy != "nyquist":
+        raise ValueError(f"unknown grid policy {policy!r}, expected {GRID_POLICIES}")
+    if p != int(p) or int(p) % 2 != 0:
+        raise ValueError("nyquist grids need an even integer p")
+    m_alpha, m_theta = moments.nyquist_sizes(form, N, int(p))
+    if m_alpha * m_theta**d > max_cells:
+        raise ValueError(
+            f"nyquist grid {m_alpha}x{m_theta}^{d} exceeds max_cells={max_cells}"
+        )
+    return m_alpha, m_theta
+
+
 def _family_seed(seed: int, N: int) -> int:
     return int(np.random.SeedSequence((seed, N)).generate_state(1)[0])
 
@@ -154,18 +182,14 @@ def _offset_rng(seed: int, N: int, j: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, N, j)))
 
 
-def _rel_spread(vals: Sequence[float]) -> float:
-    lo, hi = min(vals), max(vals)
-    mid = max(abs(hi), abs(lo))
-    return 0.0 if mid == 0.0 else (hi - lo) / mid
-
-
 def run_experiment(exp: ScalingExperiment) -> ExperimentResult:
     """One MomentReport per N; failures are recorded and the sweep continues.
 
     The full moment prefers the exact counting oracle when the key-table
     budget allows; the truncated moment and level sets always come from the
-    grid, averaged over the experiment's random offsets.
+    grid, averaged over the experiment's random offsets. Only the errors the
+    per-N path raises on purpose (ValueError, ArithmeticError) count as
+    per-N failures; any other exception propagates.
     """
     d = exp.form.dim
     reports: list[moments.MomentReport] = []
@@ -173,7 +197,7 @@ def run_experiment(exp: ScalingExperiment) -> ExperimentResult:
     for N in exp.N_list:
         try:
             reports.append(_run_single(exp, d, N))
-        except Exception as exc:  # noqa: BLE001 - per-N isolation is the contract
+        except (ValueError, ArithmeticError) as exc:
             failures.append((N, str(exc)))
     return ExperimentResult(exp, reports, failures)
 
@@ -182,81 +206,15 @@ def _run_single(exp: ScalingExperiment, d: int, N: int) -> moments.MomentReport:
     seq = make_sequence(
         exp.family, d, N, s=exp.s, seed=_family_seed(exp.seed, N)
     ).normalized()
-    norm_a = 1.0
-    threshold = exp.C * float(N) ** (d / 4.0) * norm_a
-    lambdas = tuple(m * float(N) ** (d / 4.0) for m in exp.level_multipliers)
-
-    if exp.grid_policy == "nyquist":
-        if exp.p != int(exp.p) or int(exp.p) % 2 != 0:
-            raise ValueError("nyquist policy needs an even integer p")
-        m_alpha, m_theta = moments.nyquist_sizes(exp.form, N, int(exp.p))
-        m_theta = max(m_theta, 2 * seq.radius + 1)
-        if m_alpha * m_theta**d > exp.max_cells:
-            raise ValueError(
-                f"nyquist grid {m_alpha}x{m_theta}^{d} exceeds max_cells={exp.max_cells}"
-            )
-    else:
-        m_alpha, m_theta = budgeted_grid_sizes(
-            exp.form, N, d, exp.p, seq.radius, exp.max_cells
-        )
-
-    fulls, truncs, sups = [], [], []
-    level_acc = np.zeros(len(lambdas))
-    grids = []
-    for j in range(exp.offsets):
-        grid = TorusGrid.random_offset(d, m_alpha, m_theta, _offset_rng(exp.seed, N, j))
-        grids.append(grid)
-        scan = moments.scan_field(
-            exp.form, seq, grid,
-            p_values=(exp.p,),
-            thresholds=((exp.p, threshold),),
-            lambdas=lambdas,
-        )
-        fulls.append(scan.moments[exp.p])
-        truncs.append(scan.truncated[(exp.p, threshold)])
-        sups.append(scan.sup)
-        level_acc += np.array([m for _, m in scan.levels])
-
-    full = float(np.mean(fulls))
-    trunc = float(np.mean(truncs))
-    spread = max(_rel_spread(fulls), _rel_spread(truncs))
-    oracle_val = None
-    exact = moments.nyquist_sufficient(grids[0], exp.form, N, exp.p)
-    if exp.p == int(exp.p) and int(exp.p) % 2 == 0:
-        try:
-            oracle_val = moments.even_moment_exact(exp.form, seq, int(exp.p))
-            full = oracle_val
-            exact = True
-        except ValueError:
-            oracle_val = None
-
-    levels = [
-        (float(l), float(m)) for l, m in zip(lambdas, level_acc / exp.offsets)
-    ]
-    return moments.MomentReport(
-        form_matrix=exp.form.matrix,
-        dim=d,
-        N=N,
-        p=exp.p,
-        C=exp.C,
-        threshold=threshold,
-        norm_a=norm_a,
-        full_moment=full,
-        truncated_moment=trunc,
-        sup=max(sups),
-        levels=levels,
-        grid_info={
-            "m_alpha": m_alpha,
-            "m_theta": m_theta,
-            "offsets": exp.offsets,
-            "cells": grids[0].total_cells,
-            "policy": exp.grid_policy,
-        },
-        exact=exact,
-        spread=spread,
-        oracle_full=oracle_val,
-        grid_full=float(np.mean(fulls)),
+    m_alpha, m_theta = grid_sizes(
+        exp.grid_policy, exp.form, N, exp.p, seq.radius, exp.max_cells
     )
+    grids = [
+        TorusGrid.random_offset(d, m_alpha, m_theta, _offset_rng(exp.seed, N, j))
+        for j in range(exp.offsets)
+    ]
+    lambdas = tuple(m * float(N) ** (d / 4.0) for m in LEVEL_MULTIPLIERS)
+    return moments.build_report(exp.form, seq, grids, exp.p, exp.C, lambdas)
 
 
 def fit_loglog(

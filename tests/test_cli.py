@@ -63,6 +63,15 @@ def test_partial_explicit_grid_exits_2():
     assert "both --m-alpha and --m-theta" in err
 
 
+def test_nyquist_grid_over_max_cells_exits_2():
+    code, out, err = _run(
+        ["moment", "--form", "diag:1,-1", "--N", "2", "--p", "4",
+         "--grid", "nyquist", "--max-cells", "1000"]
+    )
+    assert code == 2 and out == ""
+    assert "exceeds max_cells" in err
+
+
 def test_short_N_list_exits_2():
     code, _, err = _run(["scaling", "--form", "diag:1,-1", "--N-list", "2,4"])
     assert code == 2
@@ -70,11 +79,12 @@ def test_short_N_list_exits_2():
 
 
 def test_unknown_config_key(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("colour = blue\n")
-    code, _, err = _run(["moment", "--config", str(cfg), "--N", "2"])
-    assert code == 2
-    assert f"{cfg}:1: unknown config key 'colour'" in err
+    for key, value in (("colour", "blue"), ("beta", "0.5")):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code, _, err = _run(["moment", "--config", str(cfg), "--N", "2"])
+        assert code == 2
+        assert f"{cfg}:1: unknown config key '{key}'" in err
 
 
 def test_config_flag_precedence(tmp_path):

@@ -221,7 +221,7 @@ def test_level_set_scaling_proxy():
 def test_moment_report_round_trip():
     seq = ones_sequence(1, 4)
     grid = moments.nyquist_grid(LINE, 4, 1, 4)
-    rep = moments.build_report(LINE, seq, grid, 4.0, C=1.0, with_oracle=True)
+    rep = moments.build_report(LINE, seq, [grid], 4.0, C=1.0)
     d = rep.json_dict()
     assert sorted(d.keys()) == [
         "C", "N", "exact", "form", "full", "grid", "levels", "p", "truncated",
@@ -237,5 +237,30 @@ def test_moment_report_round_trip():
     assert header.split(",") == moments._CSV_FIELDS
     assert len(row.split(",")) == len(moments._CSV_FIELDS)
     assert rep.to_json() == moments.build_report(
-        LINE, seq, grid, 4.0, C=1.0, with_oracle=True
+        LINE, seq, [grid], 4.0, C=1.0
     ).to_json()
+
+
+def test_report_over_two_grids_averages_single_grid_reports():
+    rng = np.random.default_rng(5)
+    seq = random_unit_sequence(2, 3, seed=4)
+    grids = [TorusGrid.random_offset(2, 23, 9, rng) for _ in range(2)]
+    lams = (0.5, 1.0, 2.0)
+    one = [moments.build_report(HYPER, seq, [g], 6.0, lambdas=lams) for g in grids]
+    both = moments.build_report(HYPER, seq, grids, 6.0, lambdas=lams)
+    assert all(r.spread == 0.0 for r in one)
+    fulls = [r.grid_full for r in one]
+    truncs = [r.truncated_moment for r in one]
+    assert both.grid_full == float(np.mean(fulls))
+    assert both.truncated_moment == float(np.mean(truncs))
+    assert both.sup == max(r.sup for r in one)
+    for k, (lam, meas) in enumerate(both.levels):
+        assert lam == lams[k]
+        assert meas == (one[0].levels[k][1] + one[1].levels[k][1]) / 2
+    assert both.spread == max(
+        (max(v) - min(v)) / max(abs(x) for x in v) for v in (fulls, truncs)
+    )
+    assert both.spread > 0.0
+    assert both.oracle_full == one[0].oracle_full
+    assert both.full_moment == both.oracle_full
+    assert both.grid_info == one[0].grid_info

@@ -131,6 +131,33 @@ def test_per_N_failure_isolation():
     assert "600" in res.failures[0][1]
 
 
+def test_budgeted_report_exact_means_grid_exactness():
+    # the oracle fixes the full moment, but a sub-Nyquist grid is not exact
+    exp = ScalingExperiment(
+        HYPER, "ones", (2, 3, 4), p=4.0, grid_policy="budgeted",
+        max_cells=20_000, offsets=1,
+    )
+    res = run_experiment(exp)
+    assert res.failures == []
+    for rep in res.reports:
+        assert rep.oracle_full is not None
+        assert rep.exact is False
+        assert rep.full_moment == rep.oracle_full
+
+
+def test_programming_errors_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken scan")
+
+    monkeypatch.setattr(moments, "scan_field", broken)
+    exp = ScalingExperiment(
+        HYPER, "ones", (2, 3, 4), p=4.0, grid_policy="budgeted",
+        max_cells=20_000, offsets=1,
+    )
+    with pytest.raises(TypeError, match="broken scan"):
+        run_experiment(exp)
+
+
 def test_experiment_determinism():
     exp = ScalingExperiment(
         HYPER, "random-unit", (2, 3, 4), p=4.0, grid_policy="budgeted",
