@@ -3,17 +3,18 @@
 F_a(alpha, theta) = sum_n a(n) e(alpha R(n) + theta . n),   e(x) = exp(2 pi i x),
 
 evaluated either directly (fixed lexicographic order, pairwise summation) or
-on equispaced product grids via zero-padded FFTs, one alpha slice at a time.
-The complete-sum machinery (Gauss sums S(a,b;q), the scaled oscillatory
-integral I(beta, gamma; N), and the Poisson major-arc approximant) lives here
-as well.
+on equispaced product grids by theta FFTs over chunks of alpha slices, with
+exact root-table phases since R(n) is an integer. The complete-sum machinery
+(Gauss sums S(a,b;q), the scaled oscillatory integral I(beta, gamma; N), and
+the Poisson major-arc approximant) lives here as well.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
-from math import ceil, gcd
+from math import ceil, gcd, prod
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -173,12 +174,15 @@ def iter_field_chunks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (alpha start index, values[start:start+k]) over all alpha slices.
 
-    Each slice is the theta-DFT of the alpha-twisted coefficients, computed by
-    embedding a(n) e(alpha R(n) + offset . n) at indices n mod m_theta and
-    applying a zero-padded inverse FFT (sign convention e(+theta . n)).
+    At alpha_k = o + k/m_alpha, a(n) is twisted by base(n) = a(n) e(o R(n) +
+    offset . n), computed once per call, times the root-table entry
+    e(j/m_alpha) with j = k R(n) mod m_alpha. R(n) is an integer, so j is exact
+    in int64 and no phase error grows with k R(n). The twisted box goes to
+    indices n mod m_theta of a zeroed array, transformed in place by an
+    unnormalized inverse FFT (sign convention e(+theta . n)).
     """
     seq = _as_sequence(source)
-    d, r, m = seq.dim, seq.radius, grid.m_theta
+    d, r, m, m_alpha = seq.dim, seq.radius, grid.m_theta, grid.m_alpha
     if grid.dim != d:
         raise ValueError("grid dim does not match the sequence dim")
     if m < 2 * r + 1:
@@ -186,29 +190,27 @@ def iter_field_chunks(
             f"grid too coarse: m_theta={m} is below the support width "
             f"{2 * r + 1} of the sequence (frequencies would alias)"
         )
-    coords = np.arange(-r, r + 1)
-    grids = np.meshgrid(*([coords] * d), indexing="ij")
-    flat_idx = np.ravel_multi_index(
-        tuple((g % m).ravel() for g in grids), (m,) * d
-    )
-    theta_off_phase = np.zeros(grids[0].shape)
-    for i in range(d):
-        theta_off_phase = theta_off_phase + grid.offset[1 + i] * grids[i]
-    base = (seq.values * np.exp(2j * np.pi * theta_off_phase)).ravel()
-    R_flat = _r_grid(form, r).astype(float).ravel()
+    R = _r_grid(form, r)
+    offset_phase = grid.offset[0] * R
+    for i, g in enumerate(seq.coordinate_grids()):
+        offset_phase = offset_phase + grid.offset[1 + i] * g
+    base = seq.values * np.exp(2j * np.pi * offset_phase)
+    r_mod = R % m_alpha
+    roots = np.exp(2j * np.pi * np.arange(m_alpha) / m_alpha)
+    # n in [-r, r] sits at n mod m: box[r:] goes to [0, r], box[:r] to [m-r, m)
+    halves = ((slice(r, None), slice(0, r + 1)), (slice(None, r), slice(m - r, m)))
+    places = [tuple(zip(*c)) for c in itertools.product(halves, repeat=d)]
 
     if chunk is None:
         chunk = max(1, int(2**21 // max(m**d, 1)))
-    alphas = grid.alphas()
-    scale = float(m**d)
-    for start in range(0, grid.m_alpha, chunk):
-        a_chunk = alphas[start : start + chunk]
-        twisted = np.exp(2j * np.pi * np.outer(a_chunk, R_flat)) * base
-        buf = np.zeros((len(a_chunk), m**d), dtype=np.complex128)
-        buf[:, flat_idx] = twisted
-        buf = buf.reshape((len(a_chunk),) + (m,) * d)
-        vals = np.fft.ifftn(buf, axes=tuple(range(1, d + 1))) * scale
-        yield start, vals
+    axes = tuple(range(1, d + 1))
+    for start in range(0, m_alpha, chunk):
+        k = np.arange(start, min(start + chunk, m_alpha), dtype=np.int64)
+        twist = roots[np.multiply.outer(k, r_mod) % m_alpha]
+        vals = np.zeros((len(k),) + (m,) * d, dtype=np.complex128)
+        for box, torus in places:
+            np.multiply(twist[(..., *box)], base[box], out=vals[(..., *torus)])
+        yield start, np.fft.ifftn(vals, axes=axes, norm="forward", out=vals)
 
 
 def grid_evaluate(
@@ -358,33 +360,31 @@ def _integral_batch(
             out *= phases @ f
         return out
     rules = [_cached_composite_rule(o) for o in orders]
-    total = 1
-    for x, _ in rules:
-        total *= len(x)
+    total = prod(len(x) for x, _ in rules)
     if total > max_nodes:
         raise ValueError(
             f"tensor quadrature grid of {total} nodes exceeds {max_nodes}"
         )
-    grids = np.meshgrid(*[x for x, _ in rules], indexing="ij")
-    wgrid = functools.reduce(
-        np.multiply.outer, [w for _, w in rules]
-    )
-    eta = np.ones_like(grids[0])
-    for g in grids:
-        eta = eta * bump(g)
-    R = np.zeros_like(grids[0])
+    grids = np.meshgrid(*[x for x, _ in rules], indexing="ij", sparse=True)
+    R = np.zeros(tuple(len(x) for x, _ in rules))
     for i in range(d):
         for j in range(d):
             mij = form.matrix[i][j]
             if mij:
-                R = R + mij * grids[i] * grids[j]
-    core = (wgrid * eta * np.exp(2j * np.pi * beta * N * N * R)).ravel()
-    X = np.stack([g.ravel() for g in grids], axis=1)
+                R += mij * grids[i] * grids[j]
+    core = np.exp(2j * np.pi * beta * N * N * R)
+    core *= functools.reduce(np.multiply.outer, [w * bump(x) for x, w in rules])
     out = np.empty(len(gammas), dtype=np.complex128)
-    step = max(1, int(2**24 // max(len(core), 1)))
+    step = max(1, 2**22 // (total // len(rules[-1][0])))
     for k0 in range(0, len(gammas), step):
         gk = gammas[k0 : k0 + step]
-        out[k0 : k0 + step] = np.exp(2j * np.pi * N * (gk @ X.T)) @ core
+        # e(N gamma . x) is a product over the axes: contract the last axis
+        # with one matmul, then each earlier axis against its own factor
+        acc = core @ np.exp(2j * np.pi * N * np.outer(gk[:, -1], rules[-1][0])).T
+        for i in range(d - 2, -1, -1):
+            e_i = np.exp(2j * np.pi * N * np.outer(gk[:, i], rules[i][0]))
+            acc = np.einsum("...jk,kj->...k", acc, e_i)
+        out[k0 : k0 + step] = acc
     return out
 
 

@@ -198,7 +198,7 @@ def run_experiment(exp: ScalingExperiment) -> ExperimentResult:
         try:
             reports.append(_run_single(exp, d, N))
         except (ValueError, ArithmeticError) as exc:
-            failures.append((N, str(exc)))
+            failures.append((N, f"{type(exc).__name__}: {exc}"))
     return ExperimentResult(exp, reports, failures)
 
 

@@ -23,6 +23,7 @@ from quadsums import (
     smoothed_sum_direct,
 )
 from quadsums.bump import bump
+from quadsums.expsum import _cached_composite_rule, _integral_batch
 
 HYPER = parse_form_spec("diag:1,-1")
 LINE = parse_form_spec("diag:1")
@@ -70,6 +71,91 @@ def test_iter_field_chunks_agrees_with_grid_evaluate():
         [vals for _, vals in iter_field_chunks(HYPER, seq, grid, chunk=2)]
     )
     assert np.abs(rows - field.values).max() <= 1e-12
+
+
+def _assert_chunks_match_direct(form, seq, grid, chunk, tol):
+    alphas = grid.alphas()
+    thetas = [grid.theta_values(i) for i in range(seq.dim)]
+    for start, vals in iter_field_chunks(form, seq, grid, chunk=chunk):
+        for idx in np.ndindex(*vals.shape):
+            theta = [thetas[i][t] for i, t in enumerate(idx[1:])]
+            want = extension_direct(form, seq, alphas[start + idx[0]], theta)
+            assert abs(vals[idx] - want) <= tol
+
+
+def test_field_chunks_match_direct_nondiagonal_and_d3():
+    rng = np.random.default_rng(2024)
+    cases = (
+        (parse_form_spec("mat:2:0,1,1,0"), 2, 3, 7, 9),
+        (parse_form_spec("diag:1,1,-1"), 3, 2, 5, 6),
+    )
+    for form, d, r, m_alpha, m_theta in cases:
+        seq = random_unit_sequence(d, r, seed=int(rng.integers(2**31)))
+        grid = TorusGrid.random_offset(d, m_alpha, m_theta, rng)
+        for chunk in (1, None):
+            _assert_chunks_match_direct(form, seq, grid, chunk, 1e-12 * seq.l1_norm)
+
+
+def test_field_chunks_edge_sizes():
+    # one alpha point, and a theta axis exactly as wide as the support
+    rng = np.random.default_rng(5)
+    cross = parse_form_spec("mat:2:0,1,1,0")
+    seq = random_unit_sequence(2, 3, seed=8)
+    for m_alpha, m_theta in ((1, 11), (6, 7), (1, 7)):
+        grid = TorusGrid.random_offset(2, m_alpha, m_theta, rng)
+        _assert_chunks_match_direct(cross, seq, grid, None, 1e-12 * seq.l1_norm)
+    # radius 0: the single coefficient sits at the torus origin
+    delta = delta_sequence(2, 0)
+    grid = TorusGrid.random_offset(2, 3, 1, rng)
+    _assert_chunks_match_direct(HYPER, delta, grid, None, 1e-14)
+
+
+def test_field_chunks_tile_alpha_axis():
+    seq = ones_sequence(1, 2)
+    for grid, chunk in (
+        (TorusGrid(1, 10, 5, (0.0, 0.0)), 4),
+        (TorusGrid(1, 1500, 3000, (0.0, 0.0)), None),
+    ):
+        nxt, sizes = 0, []
+        for start, vals in iter_field_chunks(LINE, seq, grid, chunk=chunk):
+            assert start == nxt
+            assert vals.shape[1:] == (grid.m_theta,)
+            assert vals.size <= 2**21
+            nxt += vals.shape[0]
+            sizes.append(vals.shape[0])
+        assert nxt == grid.m_alpha
+        if chunk is not None:
+            assert sizes == [4, 4, 2]
+        else:
+            assert len(sizes) == 3
+
+
+def test_field_phases_exact_at_large_k_times_R():
+    # SmoothWeight N=64 has |R(n)| up to 127^2, so alpha_k R(n) reaches 1.6e4
+    # turns; the engine reduces k R(n) mod m_alpha in integers and must agree
+    # with a direct sum whose phases are reduced the same way
+    w = SmoothWeight(2, 64)
+    seq = w.as_sequence()
+    m_alpha, m_theta = 64, 2 * seq.radius + 1
+    grid = TorusGrid(2, m_alpha, m_theta, (0.0, 0.0, 0.0))
+    R = HYPER.values_on_grid(seq.radius)
+    coords = np.arange(-seq.radius, seq.radius + 1)
+    rng = np.random.default_rng(11)
+    checked = 0
+    for start, vals in iter_field_chunks(HYPER, w, grid):
+        for i in range(vals.shape[0]):
+            k = start + i
+            if k < m_alpha - 4:
+                continue
+            twist = seq.values * np.exp(2j * np.pi * ((k * R) % m_alpha) / m_alpha)
+            for _ in range(3):
+                t = rng.integers(m_theta, size=2)
+                # theta . n mod m_theta, also in integers
+                lin = (t[0] * coords[:, None] + t[1] * coords[None, :]) % m_theta
+                want = np.sum(twist * np.exp(2j * np.pi * lin / m_theta))
+                assert abs(vals[i, t[0], t[1]] - want) <= 1e-12 * seq.l1_norm
+                checked += 1
+    assert checked == 12
 
 
 def test_grid_too_coarse_rejected():
@@ -248,6 +334,39 @@ def test_oscillatory_integral_decay():
     for m in (2.5, 4.5, 8.5, 16.5):
         r = oscillatory_integral(LINE, 0.0, [m / 8], 8)
         assert abs(r.value) <= (1 + m) ** (-3.0) * 3.0
+
+
+def _integral_dense(form, beta, gammas, N, orders):
+    # the full tensor sum: every node, one exponential per (gamma, node)
+    rules = [_cached_composite_rule(o) for o in orders]
+    nodes = np.meshgrid(*[x for x, _ in rules], indexing="ij")
+    weights = np.meshgrid(*[w for _, w in rules], indexing="ij")
+    wgt = np.prod([w * bump(x) for x, w in zip(nodes, weights)], axis=0)
+    R = sum(
+        form.matrix[i][j] * nodes[i] * nodes[j]
+        for i in range(form.dim) for j in range(form.dim)
+    )
+    out = []
+    for gamma in gammas:
+        lin = sum(g * x for g, x in zip(gamma, nodes))
+        out.append(np.sum(wgt * np.exp(2j * np.pi * (beta * N * N * R + N * lin))))
+    return np.array(out)
+
+
+def test_integral_batch_axis_contraction_matches_dense_sum():
+    rng = np.random.default_rng(31)
+    cases = (
+        (parse_form_spec("mat:2:0,1,1,0"), 3, (8, 11)),
+        (parse_form_spec("mat:3:1,1,0,1,2,1,0,1,-1"), 2, (8, 9, 10)),
+    )
+    for form, N, orders in cases:
+        gammas = rng.uniform(-2.0, 2.0, (6, form.dim))
+        beta = 0.05
+        got = _integral_batch(form, beta, gammas, N, orders)
+        want = _integral_dense(form, beta, gammas, N, orders)
+        assert np.abs(got - want).max() <= 1e-13
+        with pytest.raises(ValueError, match="tensor quadrature"):
+            _integral_batch(form, beta, gammas, N, orders, max_nodes=100)
 
 
 def test_oscillatory_integral_validation():

@@ -129,6 +129,7 @@ def test_per_N_failure_isolation():
     assert len(res.failures) == 1
     assert res.failures[0][0] == 16
     assert "600" in res.failures[0][1]
+    assert res.failures[0][1].startswith("ValueError: ")
 
 
 def test_budgeted_report_exact_means_grid_exactness():
