@@ -4,12 +4,20 @@ Two routes to the p-th moment: an exact counting oracle for even p (the
 p/2-fold self-convolution of the coefficients, bucketed by the frequency key
 (sum R(n_i), sum n_i)), and equal-weight quadrature over a TorusGrid, which is
 itself exact once the grid outruns the trigonometric degree of |F|^p.
+
+The oracle folds sparse buckets: mixed-radix int64 keys binned with
+`np.bincount`, keeping only nonzero buckets, at S x nnz work per level. Inputs
+whose nonzero coefficients share one value take a counting path in integers
+(exact for 0/1 coefficients); others fold real and imaginary parts in
+float64. Its `max_entries` budget caps the key table, which bounds memory but
+not work.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -51,15 +59,33 @@ def _support(form: QuadraticForm, seq: CoefficientSequence):
     return vals[nz], coords, r_vals
 
 
+# Entries of the (bucket keys x point keys) outer sum binned at once.
+_FOLD_CHUNK = 2**20
+
+
 def even_moment_exact(
     form: QuadraticForm, source, p: int, max_entries: int = 2**26
 ) -> float:
     """int |F|^p for even p by exact key counting.
 
-    Folding the coefficient array p/2 times against itself builds the bucket
-    weights W(sum R(n_i), sum n_i) = sum over p/2-tuples of prod a(n_i); the
-    moment is sum |W|^2. Additions happen in a fixed support order, so the
-    result is reproducible, and exact whenever the weights are (e.g. 0/1).
+    Folding the support p/2 times against itself builds the bucket weights
+    W(sum R(n_i), sum n_i) = sum over p/2-tuples of prod a(n_i); the moment is
+    sum |W|^2. Each support point is encoded once as a mixed-radix int64 key
+    (R(n) - R_min, then each coordinate) with the radices of the final key
+    table, so a sum of p/2 keys has no carries. A fold bins the outer sum of
+    the nonzero bucket keys and the point keys with `np.bincount`, in chunks,
+    and keeps only the nonzero buckets: S x nnz work per level for S support
+    points and nnz buckets.
+
+    When every nonzero coefficient has one value c, the weights are tuple
+    counts, kept in float64 below 2^53 and squared and summed in int64 below
+    2^63 (either check failing raises ArithmeticError); the moment is then
+    count * |c|^p, formed in exact rationals and rounded once, so it is exact
+    for 0/1 coefficients. Other coefficients fold their real and imaginary
+    parts in float64, in a fixed order, so the result is reproducible.
+
+    `max_entries` caps the final key table, so it bounds memory, not work;
+    over it the call raises ValueError.
     """
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
@@ -78,19 +104,68 @@ def even_moment_exact(
             f"even-moment key table needs {total} entries, over the budget "
             f"{max_entries}; use the grid method (grid_moment / scan_field)"
         )
-    dr = (r_nz - rmin).astype(np.int64)
-    w = np.ones((1,) * (seq.dim + 1), dtype=np.complex128)
-    for level in range(k):
-        out_shape = ((level + 1) * span_r + 1,) + ((level + 1) * width + 1,) * seq.dim
-        out = np.zeros(out_shape, dtype=np.complex128)
-        for t in range(a_nz.size):
-            sl = (slice(dr[t], dr[t] + w.shape[0]),) + tuple(
-                slice(int(coords[i][t]), int(coords[i][t]) + w.shape[1 + i])
-                for i in range(seq.dim)
-            )
-            out[sl] += a_nz[t] * w
-        w = out
-    return float(np.sum(np.abs(w) ** 2))
+    point_keys = (r_nz - rmin).astype(np.int64)
+    for axis in range(seq.dim):
+        point_keys = point_keys * final_shape[1 + axis] + coords[axis]
+    order = np.argsort(point_keys)
+    point_keys, a_nz = point_keys[order], a_nz[order]
+    counting = bool(np.all(a_nz == a_nz[0]))
+    point_w = None if counting else a_nz
+    keys = np.zeros(1, dtype=np.int64)
+    w = np.ones(1, dtype=np.float64 if counting else np.complex128)
+    for _ in range(k):
+        keys, w = _fold(keys, w, point_keys, point_w)
+    if not counting:
+        return float(np.sum(w.real**2 + w.imag**2))
+    # a float64 estimate below 2^62 keeps the exact int64 sum below 2^63
+    if float(np.dot(w, w)) >= 2.0**62:
+        raise ArithmeticError("sum of squared tuple counts leaves int64")
+    counts = w.astype(np.int64)
+    c = a_nz[0]
+    # count * |c|^p in exact rationals, rounded once
+    abs_c2 = Fraction(float(c.real)) ** 2 + Fraction(float(c.imag)) ** 2
+    return float(int(np.dot(counts, counts)) * abs_c2**k)
+
+
+def _fold(keys, w, point_keys, point_w):
+    """Convolve the buckets (ascending `keys`, weights `w`) with the points
+    (ascending `point_keys`, weights `point_w`); return the nonzero buckets.
+
+    `point_w` None means unit point weights: `w` then holds tuple counts in
+    float64, exact below 2^53; a count reaching 2^53 raises ArithmeticError.
+    """
+    n_pts = point_keys.size
+    pmin, pmax = int(point_keys[0]), int(point_keys[-1])
+    lo = int(keys[0]) + pmin
+    acc = np.zeros((1 if point_w is None else 2, int(keys[-1]) + pmax + 1 - lo))
+    # A block of rows x points reaches a key slice about rows * row_step +
+    # points * point_step long; split the chunk to keep that slice short.
+    row_step = (int(keys[-1]) - int(keys[0]) + 1) / keys.size
+    point_step = (pmax - pmin + 1) / n_pts
+    balanced = round((_FOLD_CHUNK * row_step / point_step) ** 0.5)
+    cols = min(n_pts, _FOLD_CHUNK, max(1, balanced, _FOLD_CHUNK // keys.size))
+    rows = max(1, _FOLD_CHUNK // cols)
+    for c0 in range(0, n_pts, cols):
+        pk = point_keys[c0 : c0 + cols]
+        for r0 in range(0, keys.size, rows):
+            ks = keys[r0 : r0 + rows]
+            c_lo = int(ks[0]) + int(pk[0])
+            n = int(ks[-1]) + int(pk[-1]) + 1 - c_lo
+            kk = (ks[:, None] + (pk - c_lo)).ravel()
+            sl = acc[:, c_lo - lo : c_lo - lo + n]
+            if point_w is None:
+                sl[0] += np.bincount(kk, np.repeat(w[r0 : r0 + rows], pk.size), n)
+            else:
+                ww = (w[r0 : r0 + rows, None] * point_w[c0 : c0 + cols]).ravel()
+                sl[0] += np.bincount(kk, ww.real, n)
+                sl[1] += np.bincount(kk, ww.imag, n)
+    hit = np.flatnonzero(acc.any(axis=0))
+    if point_w is not None:
+        return hit + lo, acc[0, hit] + 1j * acc[1, hit]
+    out = acc[0, hit]
+    if out.max() >= 2.0**53:
+        raise ArithmeticError("tuple counts left the exact float64 range")
+    return hit + lo, out
 
 
 @dataclass(frozen=True)
@@ -106,7 +181,8 @@ def representation_count(form: QuadraticForm, source, p: int) -> RepresentationC
     """Exact count of pairs of p/2-tuples from supp(a) with equal keys.
 
     For 0/1 coefficients this is the even moment itself; otherwise the count
-    refers to the support indicator and `weighted` is set.
+    refers to the support indicator and `weighted` is set. The indicator takes
+    the oracle's counting path, so the count is summed in integers.
     """
     seq = _as_sequence(source)
     vals = seq.values.ravel()
@@ -115,13 +191,11 @@ def representation_count(form: QuadraticForm, source, p: int) -> RepresentationC
     indicator = CoefficientSequence(
         seq.dim, seq.radius, (seq.values != 0).astype(np.complex128)
     )
+    # a module-global lookup, so a replaced moments.even_moment_exact is used
     moment = even_moment_exact(form, indicator, p)
-    count = int(round(moment))
-    if abs(moment - count) > 1e-6 * max(1.0, abs(moment)):
-        raise ArithmeticError(
-            f"count {moment!r} is not near an integer; budget the key table"
-        )
-    return RepresentationCount(p // 2, count, weighted)
+    if moment >= 2.0**53:
+        raise ArithmeticError(f"count {moment!r} is past the exact float64 range")
+    return RepresentationCount(p // 2, int(moment), weighted)
 
 
 # ---------------------------------------------------------------------------

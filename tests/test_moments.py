@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from quadsums import (
+    CoefficientSequence,
+    QuadraticForm,
     TorusGrid,
     delta_sequence,
     diagonal_extremizer,
@@ -43,6 +45,100 @@ def _brute_even_moment(form, seq, p):
         key = (key_r, key_n)
         buckets[key] = buckets.get(key, 0.0 + 0.0j) + amp
     return sum(abs(z) ** 2 for z in buckets.values())
+
+
+def _dense_slab_moment(form, seq, p):
+    # the dense fold the sparse oracle replaced: one complex slab of the whole
+    # key table added per support point and level
+    k = p // 2
+    a_nz, coords, r_nz = moments._support(form, seq)
+    if a_nz.size == 0:
+        return 0.0
+    span_r = int(r_nz.max()) - int(r_nz.min())
+    width = 2 * seq.radius
+    dr = (r_nz - int(r_nz.min())).astype(np.int64)
+    w = np.ones((1,) * (seq.dim + 1), dtype=np.complex128)
+    for level in range(k):
+        out_shape = ((level + 1) * span_r + 1,) + ((level + 1) * width + 1,) * seq.dim
+        out = np.zeros(out_shape, dtype=np.complex128)
+        for t in range(a_nz.size):
+            sl = (slice(dr[t], dr[t] + w.shape[0]),) + tuple(
+                slice(int(coords[i][t]), int(coords[i][t]) + w.shape[1 + i])
+                for i in range(seq.dim)
+            )
+            out[sl] += a_nz[t] * w
+        w = out
+    return float(np.sum(np.abs(w) ** 2))
+
+
+def _random_form(rng, d):
+    # a non-diagonal, nondegenerate symmetric integer matrix, entries in [-2, 2]
+    while True:
+        m = np.triu(rng.integers(-2, 3, size=(d, d)))
+        m = m + np.triu(m, 1).T
+        if not np.any(np.triu(m, 1)):
+            continue
+        try:
+            return QuadraticForm(m.tolist())
+        except ValueError:
+            continue
+
+
+def _random_coefficients(rng, kind, d, radius):
+    shape = (2 * radius + 1,) * d
+    if kind == "0/1":
+        vals = (rng.random(shape) < 0.6).astype(float)
+    elif kind == "uniform":
+        return ones_sequence(d, radius).normalized()
+    elif kind == "real":
+        vals = rng.standard_normal(shape)
+    else:
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return CoefficientSequence(d, radius, vals)
+
+
+def test_sparse_fold_matches_dense_reference_and_brute_force():
+    rng = np.random.default_rng(2024)
+    forms = [parse_form_spec("mat:2:0,1,1,0"), parse_form_spec("diag:1,1,-1")]
+    forms += [_random_form(rng, 2) for _ in range(2)] + [_random_form(rng, 3)]
+    for form in forms:
+        for radius in (1, 2) if form.dim == 2 else (1,):
+            for kind in ("0/1", "uniform", "real", "complex"):
+                seq = _random_coefficients(rng, kind, form.dim, radius)
+                for p in (2, 4, 6):
+                    got = moments.even_moment_exact(form, seq, p)
+                    want = _dense_slab_moment(form, seq, p)
+                    case = (form.matrix, radius, kind, p, got, want)
+                    if kind == "0/1":
+                        assert got == want, case
+                    else:
+                        assert abs(got - want) <= 1e-12 * abs(want), case
+                    if radius == 1:
+                        brute = _brute_even_moment(form, seq, p)
+                        if kind == "0/1":
+                            assert got == brute, case
+                        else:
+                            assert abs(got - brute) <= 1e-12 * abs(brute), case
+
+
+def test_sparse_fold_drops_a_bucket_cancelled_to_zero():
+    # on R = x^2 - y^2 the points (0,0), (1,1), (2,2) all have R = 0, and the
+    # pairs (0,0)+(2,2) and (1,1)+(1,1) share a key: its weight
+    # 2 * 1 * 0.5 + (1j)^2 is exactly 0
+    vals = np.zeros((5, 5), dtype=complex)
+    vals[2, 2], vals[3, 3], vals[4, 4] = 1.0, 1j, 0.5
+    seq = CoefficientSequence(2, 2, vals)
+    a, coords, _ = moments._support(HYPER, seq)
+    keys = coords[0] * 9 + coords[1]  # R digit 0; coordinate radix 2*2*2+1
+    level1 = moments._fold(np.zeros(1, np.int64), np.ones(1, complex), keys, a)
+    level2 = moments._fold(*level1, keys, a)
+    # five pair sums, the shared one cancelled and dropped
+    assert level2[0].tolist() == [40, 50, 70, 80]
+    assert np.all(level2[1] != 0)
+    for p in (4, 6):
+        got = moments.even_moment_exact(HYPER, seq, p)
+        assert abs(got - _brute_even_moment(HYPER, seq, p)) <= 1e-12 * got
+        assert abs(got - _dense_slab_moment(HYPER, seq, p)) <= 1e-12 * got
 
 
 def test_extremizer_moment_small():
@@ -92,8 +188,28 @@ def test_delta_moment_is_one():
 
 
 def test_even_moment_budget():
+    # ones on [-2, 2] under R = n^2 at p = 4: a (2*4+1) x (2*4+1) key table
+    seq = ones_sequence(1, 2)
+    want = _brute_even_moment(LINE, seq, 4)
+    assert moments.even_moment_exact(LINE, seq, 4, max_entries=81) == want
+    with pytest.raises(ValueError, match="use the grid method"):
+        moments.even_moment_exact(LINE, seq, 4, max_entries=80)
     with pytest.raises(ValueError, match="use the grid method"):
         moments.even_moment_exact(HYPER, ones_sequence(2, 64), 8)
+
+
+def test_counting_path_overflow_guards(monkeypatch):
+    keys = np.array([0, 1], dtype=np.int64)
+    below = moments._fold(keys, np.array([2.0**52, 2.0**52 - 1]), keys, None)
+    assert below[1].tolist() == [2.0**52, 2.0**53 - 1, 2.0**52 - 1]
+    with pytest.raises(ArithmeticError, match="float64"):
+        moments._fold(keys, np.array([2.0**52, 2.0**52]), keys, None)
+    # counts each below 2^53 whose squares sum past int64
+    monkeypatch.setattr(
+        moments, "_fold", lambda *args: (np.arange(4), np.full(4, 2.0**31))
+    )
+    with pytest.raises(ArithmeticError, match="int64"):
+        moments.even_moment_exact(LINE, ones_sequence(1, 1), 4)
 
 
 def test_even_moment_rejects_odd_p():
@@ -109,6 +225,8 @@ def test_representation_count():
     assert rep.weighted is False
     rnd = moments.representation_count(HYPER, random_unit_sequence(2, 2, seed=1), 2)
     assert rnd.weighted is True
+    rnd4 = moments.representation_count(HYPER, random_unit_sequence(2, 2, seed=1), 4)
+    assert rnd4.count == _brute_even_moment(HYPER, ones_sequence(2, 2), 4)
 
 
 def test_nyquist_sizes_and_sufficiency():
