@@ -27,10 +27,8 @@ from .sequences import (
 )
 from .expsum import (
     TorusGrid,
-    GridField,
     extension_direct,
     smoothed_sum_direct,
-    grid_evaluate,
     iter_field_chunks,
     gauss_sum,
     gauss_sum_table,
@@ -58,10 +56,6 @@ from .moments import (
     nyquist_sizes,
     nyquist_grid,
     nyquist_sufficient,
-    grid_moment,
-    truncated_moment,
-    level_set_measure,
-    level_set_profile,
     layer_cake_moment,
     FieldScan,
     scan_field,

@@ -7,6 +7,8 @@ normalized integral of the standard mollifier t -> exp(-1/(1-t^2)).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # int_{-1}^{1} exp(-1/(1-t^2)) dt, the smoothstep normalizer
@@ -16,16 +18,11 @@ _MOLLIFIER_MASS = 0.443993816168079437823048921171
 _GL_ORDER = 96
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
-# cache of Gauss-Legendre rules for the Fourier transform, keyed by order
-_rule_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    got = _rule_cache.get(order)
-    if got is None:
-        got = np.polynomial.legendre.leggauss(order)
-        _rule_cache[order] = got
-    return got
+    """Gauss-Legendre rule of the given order for the Fourier transform."""
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _mollifier(t: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, gcd, prod
 from typing import Iterator, Sequence, Union
 
@@ -25,10 +25,8 @@ from .sequences import CoefficientSequence, SmoothWeight
 
 __all__ = [
     "TorusGrid",
-    "GridField",
     "extension_direct",
     "smoothed_sum_direct",
-    "grid_evaluate",
     "iter_field_chunks",
     "gauss_sum",
     "gauss_sum_table",
@@ -59,20 +57,6 @@ def _as_sequence(source: Source) -> CoefficientSequence:
     if isinstance(source, SmoothWeight):
         return _weight_sequence(source)
     return source
-
-
-def _source_metadata(form: QuadraticForm, source: Source) -> dict:
-    seq = _as_sequence(source)
-    n_param = source.N if isinstance(source, SmoothWeight) else seq.radius
-    return {
-        "kind": "weight" if isinstance(source, SmoothWeight) else "sequence",
-        "dim": seq.dim,
-        "radius": seq.radius,
-        "N": n_param,
-        "l2_norm": seq.l2_norm,
-        "form": form.matrix,
-        "label": seq.label,
-    }
 
 
 @dataclass(frozen=True)
@@ -121,21 +105,6 @@ class TorusGrid:
     @property
     def total_cells(self) -> int:
         return self.m_alpha * self.m_theta**self.dim
-
-
-@dataclass
-class GridField:
-    """Materialized field values over a TorusGrid plus provenance metadata."""
-
-    grid: TorusGrid
-    values: np.ndarray = field(repr=False)
-    metadata: dict
-
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
 
 
 def extension_direct(
@@ -211,25 +180,6 @@ def iter_field_chunks(
         for box, torus in places:
             np.multiply(twist[(..., *box)], base[box], out=vals[(..., *torus)])
         yield start, np.fft.ifftn(vals, axes=axes, norm="forward", out=vals)
-
-
-def grid_evaluate(
-    form: QuadraticForm,
-    source: Source,
-    grid: TorusGrid,
-    max_cells: int = 2**25,
-) -> GridField:
-    """Materialize F on the full grid (use iter_field_chunks beyond max_cells)."""
-    if grid.total_cells > max_cells:
-        raise ValueError(
-            f"grid has {grid.total_cells} cells > max_cells={max_cells}; "
-            "stream with iter_field_chunks instead"
-        )
-    seq = _as_sequence(source)
-    out = np.empty((grid.m_alpha,) + (grid.m_theta,) * seq.dim, dtype=np.complex128)
-    for start, vals in iter_field_chunks(form, source, grid):
-        out[start : start + vals.shape[0]] = vals
-    return GridField(grid, out, _source_metadata(form, source))
 
 
 # ---------------------------------------------------------------------------

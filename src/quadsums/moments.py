@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .quadform import QuadraticForm, frequency_bound
-from .expsum import TorusGrid, GridField, iter_field_chunks, _as_sequence, _source_metadata
-from .sequences import CoefficientSequence
+from .expsum import TorusGrid, iter_field_chunks, _as_sequence
+from .sequences import CoefficientSequence, SmoothWeight
 
 __all__ = [
     "RepresentationCount",
@@ -34,13 +34,9 @@ __all__ = [
     "nyquist_sizes",
     "nyquist_grid",
     "nyquist_sufficient",
-    "grid_moment",
-    "truncated_moment",
-    "level_set_measure",
-    "level_set_profile",
-    "layer_cake_moment",
     "FieldScan",
     "scan_field",
+    "layer_cake_moment",
     "build_report",
     "report_csv_header",
     "report_csv_row",
@@ -102,7 +98,7 @@ def even_moment_exact(
     if total > max_entries:
         raise ValueError(
             f"even-moment key table needs {total} entries, over the budget "
-            f"{max_entries}; use the grid method (grid_moment / scan_field)"
+            f"{max_entries}; use the grid method (scan_field)"
         )
     point_keys = (r_nz - rmin).astype(np.int64)
     for axis in range(seq.dim):
@@ -201,12 +197,17 @@ def representation_count(form: QuadraticForm, source, p: int) -> RepresentationC
 # ---------------------------------------------------------------------------
 # grid quadrature
 
+def _nyquist_targets(form: QuadraticForm, N: int, p: int) -> tuple[int, int]:
+    """(m_alpha, m_theta) strictly outrunning the degrees p*R_max and 2pN of
+    |F|^p, for an integer p."""
+    return p * frequency_bound(form, N) + 1, 2 * p * N + 1
+
+
 def nyquist_sizes(form: QuadraticForm, N: int, p: int) -> tuple[int, int]:
-    """Smallest (m_alpha, m_theta) that integrate |F|^p exactly: the grid must
-    strictly outrun the degrees p*R_max and 2pN."""
+    """Smallest (m_alpha, m_theta) that integrate |F|^p exactly for even p."""
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
-    return p * frequency_bound(form, N) + 1, 2 * p * N + 1
+    return _nyquist_targets(form, N, p)
 
 
 def nyquist_grid(form: QuadraticForm, N: int, dim: int, p: int) -> TorusGrid:
@@ -228,67 +229,8 @@ def _pow(mag: np.ndarray, p) -> np.ndarray:
     return mag**p
 
 
-def grid_moment(field: GridField, p) -> float:
-    """Cell-measure-weighted sum of |F|^p (total measure 1)."""
-    mag = field.magnitudes().ravel()
-    return float(np.sum(_pow(mag, p))) * field.grid.cell_measure
-
-
-def truncated_moment(field: GridField, p, C: float, norm_a: float) -> float:
-    """Moment restricted to cells with |F| >= C * N^{d/4} * norm_a."""
-    if C <= 0:
-        raise ValueError("C must be positive (use grid_moment for C = 0)")
-    d = field.metadata["dim"]
-    N = field.metadata["N"]
-    thr = C * float(N) ** (d / 4.0) * norm_a
-    mag = field.magnitudes().ravel()
-    kept = mag[mag >= thr]
-    return float(np.sum(_pow(kept, p))) * field.grid.cell_measure
-
-
-def level_set_measure(field: GridField, lam: float) -> float:
-    """Fraction of grid cells with |F| >= lam (measure of E_lam)."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    mag = field.magnitudes().ravel()
-    return float(np.count_nonzero(mag >= lam)) / mag.size
-
-
-def level_set_profile(
-    field: GridField, lambdas: Sequence[float]
-) -> list[tuple[float, float]]:
-    """(lambda, |E_lambda|) pairs in one sorted pass; lambdas must ascend."""
-    lams = np.asarray(lambdas, dtype=float)
-    if lams.ndim != 1 or lams.size == 0:
-        raise ValueError("lambdas must be a non-empty 1-d list")
-    if np.any(np.diff(lams) < 0):
-        raise ValueError("lambdas must be sorted ascending")
-    srt = np.sort(field.magnitudes().ravel())
-    below = np.searchsorted(srt, lams, side="left")
-    meas = (srt.size - below) / srt.size
-    return [(float(l), float(m)) for l, m in zip(lams, meas)]
-
-
-def layer_cake_moment(field: GridField, p, n_levels: int = 2048) -> float:
-    """Riemann sum p * sum lam^{p-1} |E_lam| dlam over [0, sup|F|].
-
-    Discretizes the layer-cake identity int |F|^p = p int lam^{p-1}|E_lam| dlam;
-    agreement with grid_moment is a consistency check, not an exact identity.
-    """
-    if n_levels < 2:
-        raise ValueError("n_levels must be >= 2")
-    srt = np.sort(field.magnitudes().ravel())
-    sup = float(srt[-1])
-    if sup == 0.0:
-        return 0.0
-    lams = np.linspace(0.0, sup, n_levels + 1)[:-1]
-    dlam = sup / n_levels
-    meas = (srt.size - np.searchsorted(srt, lams, side="left")) / srt.size
-    return float(np.sum(p * lams ** (p - 1) * meas) * dlam)
-
-
 # ---------------------------------------------------------------------------
-# streaming scan (grids too large to materialize)
+# streaming scan
 
 @dataclass
 class FieldScan:
@@ -311,20 +253,22 @@ def scan_field(
     """Single streaming pass accumulating moments, threshold-restricted moments
     ((p, absolute threshold) pairs), level-set counts and the sup norm.
 
-    Chunking is deterministic, so accumulation order and results are
-    reproducible run to run.
+    Levels are reported in ascending lambda order, each as the fraction of
+    cells with |F| >= lambda; a negative lambda raises ValueError. Chunking
+    is deterministic, so accumulation order and results are reproducible run
+    to run.
     """
     p_values = tuple(p_values)
     thresholds = tuple((float(p), float(t)) for p, t in thresholds)
     lams = np.asarray(sorted(float(l) for l in lambdas), dtype=float)
+    if lams.size and lams[0] < 0:
+        raise ValueError("lambda must be >= 0")
     sums = {p: 0.0 for p in p_values}
     trunc = {key: 0.0 for key in thresholds}
     counts = np.zeros(lams.size, dtype=np.int64)
     sup = 0.0
     for _, vals in iter_field_chunks(form, source, grid):
         mag = np.abs(vals).ravel()
-        if mag.size == 0:
-            continue
         sup = max(sup, float(mag.max()))
         for p in p_values:
             sums[p] += float(np.sum(_pow(mag, p)))
@@ -343,6 +287,27 @@ def scan_field(
         truncated={key: trunc[key] * grid.cell_measure for key in thresholds},
         levels=[(float(l), float(m)) for l, m in zip(lams, meas)],
     )
+
+
+def layer_cake_moment(
+    form: QuadraticForm, source, grid: TorusGrid, p, n_levels: int = 2048
+) -> float:
+    """Riemann sum p * sum lam^{p-1} |E_lam| dlam over [0, sup|F|] on `grid`.
+
+    Discretizes the layer-cake identity int |F|^p = p int lam^{p-1}|E_lam| dlam
+    in two scans: one for sup|F|, one for the level measures. Agreement with
+    the scanned moment is a consistency check, not an exact identity.
+    """
+    if n_levels < 2:
+        raise ValueError("n_levels must be >= 2")
+    sup = scan_field(form, source, grid, p_values=()).sup
+    if sup == 0.0:
+        return 0.0
+    lams = np.linspace(0.0, sup, n_levels + 1)[:-1]
+    dlam = sup / n_levels
+    scan = scan_field(form, source, grid, p_values=(), lambdas=lams)
+    meas = np.array([m for _, m in scan.levels])
+    return float(np.sum(p * lams ** (p - 1) * meas) * dlam)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +372,12 @@ def build_report(
     and truncated moments (0.0 for one grid). Even p also runs the exact
     counting oracle, budget permitting; the full moment then reports the
     exact value. `exact` says whether the first grid is Nyquist-exact.
+    N is the weight's N for a SmoothWeight and the radius otherwise.
     """
+    if C <= 0:
+        raise ValueError("C must be positive")
     seq = _as_sequence(source)
-    N = _source_metadata(form, source)["N"]
+    N = source.N if isinstance(source, SmoothWeight) else seq.radius
     norm_a = seq.l2_norm
     threshold = C * float(N) ** (seq.dim / 4.0) * norm_a
     if lambdas is None:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadform import QuadraticForm, frequency_bound, signature
+from .quadform import QuadraticForm, signature
 from .sequences import make_sequence
 from .expsum import TorusGrid
 from . import moments
@@ -131,9 +131,7 @@ def budgeted_grid_sizes(
     """Grid sizes under a cell budget: start the theta axes at the minimum the
     support allows, spend the budget on the alpha axis up to its Nyquist
     target, then grow theta toward its own target with whatever is left."""
-    p_int = int(ceil(p))
-    want_alpha = p_int * frequency_bound(form, N) + 1
-    want_theta = 2 * p_int * N + 1
+    want_alpha, want_theta = moments._nyquist_targets(form, N, int(ceil(p)))
     m_min = 2 * radius + 1
     if m_min**dim > max_cells:
         raise ValueError(

@@ -18,7 +18,6 @@ from quadsums import (
     diagonalize_rational,
     evaluate,
     gauss_sum_table,
-    grid_evaluate,
     iter_field_chunks,
     major_arc_approx,
     moments,
@@ -239,8 +238,8 @@ def test_criterion_11_layer_cake():
             seq = ones_sequence(1, 8)
         else:
             seq = random_unit_sequence(1, 8, seed=5)
-        field = grid_evaluate(LINE, seq, moments.nyquist_grid(LINE, 8, 1, 4))
-        direct = moments.grid_moment(field, 4)
-        layered = moments.layer_cake_moment(field, 4)
+        grid = moments.nyquist_grid(LINE, 8, 1, 4)
+        direct = moments.scan_field(LINE, seq, grid, p_values=(4,)).moments[4]
+        layered = moments.layer_cake_moment(LINE, seq, grid, 4)
         assert abs(layered - direct) <= 0.02 * direct
     print("criterion-11: PASS (layer cake within 2% of the direct moment)")

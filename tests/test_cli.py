@@ -72,6 +72,24 @@ def test_nyquist_grid_over_max_cells_exits_2():
     assert "exceeds max_cells" in err
 
 
+def test_nonpositive_C_exits_2():
+    code, out, err = _run(
+        ["truncated", "--form", "diag:1,-1", "--family", "ones", "--N", "4",
+         "--grid", "nyquist", "--p", "4", "--C=-1"]
+    )
+    assert code == 2 and out == ""
+    assert "C must be positive" in err
+
+
+def test_negative_lambda_exits_2():
+    code, out, err = _run(
+        ["levelset", "--form", "diag:1,-1", "--family", "ones", "--N", "4",
+         "--grid", "nyquist", "--p", "4", "--lambdas=-1,0.5"]
+    )
+    assert code == 2 and out == ""
+    assert "lambda must be >= 0" in err
+
+
 def test_short_N_list_exits_2():
     code, _, err = _run(["scaling", "--form", "diag:1,-1", "--N-list", "2,4"])
     assert code == 2

@@ -13,9 +13,9 @@ from quadsums import (
     extension_direct,
     gauss_sum,
     gauss_sum_table,
-    grid_evaluate,
     iter_field_chunks,
     major_arc_approx,
+    moments,
     ones_sequence,
     oscillatory_integral,
     parse_form_spec,
@@ -27,6 +27,10 @@ from quadsums.expsum import _cached_composite_rule, _integral_batch
 
 HYPER = parse_form_spec("diag:1,-1")
 LINE = parse_form_spec("diag:1")
+
+
+def _field(form, seq, grid):
+    return np.concatenate([vals for _, vals in iter_field_chunks(form, seq, grid)])
 
 
 def test_torus_grid_layout():
@@ -49,7 +53,7 @@ def test_grid_matches_direct():
         for N in (2, 4, 8):
             seq = random_unit_sequence(d, N, seed=int(rng.integers(2**31)))
             grid = TorusGrid.random_offset(d, 7, 2 * N + 3, rng)
-            field = grid_evaluate(HYPER if d == 2 else LINE, seq, grid)
+            field = _field(HYPER if d == 2 else LINE, seq, grid)
             form = HYPER if d == 2 else LINE
             alphas = grid.alphas()
             thetas = [grid.theta_values(i) for i in range(d)]
@@ -59,18 +63,18 @@ def test_grid_matches_direct():
                 want = extension_direct(
                     form, seq, alphas[ia], [thetas[i][it[i]] for i in range(d)]
                 )
-                got = field.values[(ia,) + it]
+                got = field[(ia,) + it]
                 assert abs(got - want) <= 1e-10
 
 
 def test_iter_field_chunks_agrees_with_grid_evaluate():
     seq = random_unit_sequence(2, 3, seed=4)
     grid = TorusGrid(2, 5, 9, (0.25, 0.0, 0.5))
-    field = grid_evaluate(HYPER, seq, grid)
+    field = _field(HYPER, seq, grid)
     rows = np.concatenate(
         [vals for _, vals in iter_field_chunks(HYPER, seq, grid, chunk=2)]
     )
-    assert np.abs(rows - field.values).max() <= 1e-12
+    assert np.abs(rows - field).max() <= 1e-12
 
 
 def _assert_chunks_match_direct(form, seq, grid, chunk, tol):
@@ -165,13 +169,6 @@ def test_grid_too_coarse_rejected():
         list(iter_field_chunks(LINE, seq, grid))
 
 
-def test_grid_budget_rejected():
-    seq = ones_sequence(1, 2)
-    grid = TorusGrid(1, 2**20, 65, (0.0, 0.0))
-    with pytest.raises(ValueError, match="iter_field_chunks"):
-        grid_evaluate(LINE, seq, grid, max_cells=2**25)
-
-
 def test_sup_bound_and_attainment():
     # |F| <= (2r+1)^{d/2} ||a||_2, with equality for constant coefficients
     rng = np.random.default_rng(7)
@@ -180,18 +177,18 @@ def test_sup_bound_and_attainment():
         seq = random_unit_sequence(d, N, seed=13 + d)
         grid = TorusGrid.random_offset(d, 9, 2 * N + 5, rng)
         bound = (2 * N + 1) ** (d / 2.0) * seq.l2_norm
-        assert grid_evaluate(form, seq, grid).sup_norm() <= bound + 1e-12
+        assert moments.scan_field(form, seq, grid, p_values=()).sup <= bound + 1e-12
         ones = ones_sequence(d, N)
         zero_grid = TorusGrid(d, 5, 2 * N + 3, (0.0,) * (d + 1))
-        sup = grid_evaluate(form, ones, zero_grid).sup_norm()
+        sup = moments.scan_field(form, ones, zero_grid, p_values=()).sup
         assert abs(sup - (2 * N + 1) ** (d / 2.0) * ones.l2_norm) <= 1e-9
 
 
 def test_delta_field_is_flat():
     seq = delta_sequence(2, 3)
     grid = TorusGrid(2, 4, 7, (0.3, 0.1, 0.9))
-    field = grid_evaluate(HYPER, seq, grid)
-    assert np.abs(field.values - 1.0).max() <= 1e-12
+    field = _field(HYPER, seq, grid)
+    assert np.abs(field - 1.0).max() <= 1e-12
 
 
 def test_smoothed_sum_small_cases():

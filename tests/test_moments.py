@@ -13,7 +13,7 @@ from quadsums import (
     delta_sequence,
     diagonal_extremizer,
     evaluate,
-    grid_evaluate,
+    iter_field_chunks,
     ones_sequence,
     parse_form_spec,
     random_unit_sequence,
@@ -22,6 +22,10 @@ from quadsums import moments
 
 HYPER = parse_form_spec("diag:1,-1")
 LINE = parse_form_spec("diag:1")
+
+
+def _field(form, seq, grid):
+    return np.concatenate([vals for _, vals in iter_field_chunks(form, seq, grid)])
 
 
 def _brute_even_moment(form, seq, p):
@@ -245,60 +249,68 @@ def test_grid_moment_matches_exact():
     for form, d, N, p in ((LINE, 1, 4, 4), (HYPER, 2, 2, 4), (LINE, 1, 3, 6)):
         seq = random_unit_sequence(d, N, seed=7 * N + p)
         grid = moments.nyquist_grid(form, N, d, p)
-        field = grid_evaluate(form, seq, grid)
-        got = moments.grid_moment(field, p)
+        got = moments.scan_field(form, seq, grid, p_values=(p,)).moments[p]
         want = moments.even_moment_exact(form, seq, p)
         assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
 
 def test_truncated_moment_monotone_in_C():
     seq = ones_sequence(1, 4)
-    field = grid_evaluate(LINE, seq, moments.nyquist_grid(LINE, 4, 1, 4))
-    full = moments.grid_moment(field, 4)
+    grid = moments.nyquist_grid(LINE, 4, 1, 4)
+    # threshold C * N^{d/4} * ||a||_2 at N = 4, d = 1
+    thr = {C: C * 4.0 ** 0.25 * seq.l2_norm for C in (0.5, 1.0, 2.0, 1e-12, 100.0)}
+    scan = moments.scan_field(
+        LINE, seq, grid, p_values=(4,), thresholds=[(4, t) for t in thr.values()]
+    )
+    full = scan.moments[4]
+    trunc = {C: scan.truncated[(4.0, t)] for C, t in thr.items()}
     prev = None
     for C in (0.5, 1.0, 2.0):
-        t = moments.truncated_moment(field, 4, C, seq.l2_norm)
+        t = trunc[C]
         assert 0.0 <= t <= full + 1e-9
         if prev is not None:
             assert t <= prev + 1e-12
         prev = t
     # tiny C keeps everything, huge C removes everything
-    assert abs(moments.truncated_moment(field, 4, 1e-12, seq.l2_norm) - full) <= 1e-6
-    assert moments.truncated_moment(field, 4, 100.0, seq.l2_norm) == 0.0
+    assert abs(trunc[1e-12] - full) <= 1e-6
+    assert trunc[100.0] == 0.0
     with pytest.raises(ValueError):
-        moments.truncated_moment(field, 4, 0.0, seq.l2_norm)
+        moments.build_report(LINE, seq, [grid], 4, C=0.0)
     with pytest.raises(ValueError):
-        moments.truncated_moment(field, 4, -1.0, seq.l2_norm)
+        moments.build_report(LINE, seq, [grid], 4, C=-1.0)
 
 
 def test_level_set_measures():
     seq = ones_sequence(1, 4)
-    field = grid_evaluate(LINE, seq, moments.nyquist_grid(LINE, 4, 1, 4))
-    sup = field.sup_norm()
-    assert moments.level_set_measure(field, 0.0) == 1.0
-    assert moments.level_set_measure(field, sup + 1e-9) == 0.0
+    grid = moments.nyquist_grid(LINE, 4, 1, 4)
+    mags = np.abs(_field(LINE, seq, grid)).ravel()
+    sup = float(mags.max())
+    ends = moments.scan_field(LINE, seq, grid, p_values=(), lambdas=(0.0, sup + 1e-9))
+    assert [m for _, m in ends.levels] == [1.0, 0.0]
     lams = list(np.linspace(0.0, sup * 1.05, 12))
-    prof = moments.level_set_profile(field, lams)
+    prof = moments.scan_field(LINE, seq, grid, p_values=(), lambdas=lams).levels
     meas = [m for _, m in prof]
     assert meas[0] == 1.0 and meas[-1] == 0.0
     assert all(b <= a + 1e-15 for a, b in zip(meas, meas[1:]))
     for lam, m in prof:
-        assert m == moments.level_set_measure(field, lam)
+        assert m == np.count_nonzero(mags >= lam) / mags.size
     with pytest.raises(ValueError):
-        moments.level_set_profile(field, [0.5, 0.2])
+        moments.scan_field(LINE, seq, grid, p_values=(), lambdas=(0.5, -0.2))
 
 
 def test_level_set_flat_field():
-    field = grid_evaluate(HYPER, delta_sequence(2, 3), TorusGrid(2, 4, 7, (0.1,) * 3))
-    assert moments.level_set_measure(field, 0.5) == 1.0
-    assert moments.level_set_measure(field, 1.5) == 0.0
+    grid = TorusGrid(2, 4, 7, (0.1,) * 3)
+    scan = moments.scan_field(
+        HYPER, delta_sequence(2, 3), grid, p_values=(), lambdas=(0.5, 1.5)
+    )
+    assert scan.levels == [(0.5, 1.0), (1.5, 0.0)]
 
 
 def test_layer_cake_agrees_with_direct_moment():
     seq = random_unit_sequence(1, 4, seed=3)
-    field = grid_evaluate(LINE, seq, moments.nyquist_grid(LINE, 4, 1, 4))
-    direct = moments.grid_moment(field, 4)
-    layered = moments.layer_cake_moment(field, 4)
+    grid = moments.nyquist_grid(LINE, 4, 1, 4)
+    direct = moments.scan_field(LINE, seq, grid, p_values=(4,)).moments[4]
+    layered = moments.layer_cake_moment(LINE, seq, grid, 4)
     assert abs(layered - direct) <= 0.02 * direct
 
 
@@ -306,8 +318,8 @@ def test_scan_field_matches_materialized_field():
     rng = np.random.default_rng(71)
     seq = random_unit_sequence(2, 3, seed=9)
     grid = TorusGrid.random_offset(2, 11, 13, rng)
-    field = grid_evaluate(HYPER, seq, grid)
-    sup = field.sup_norm()
+    mags = np.abs(_field(HYPER, seq, grid))
+    sup = float(mags.max())
     thr = 0.5 * sup
     lams = (0.0, 0.3 * sup, 0.9 * sup)
     scan = moments.scan_field(
@@ -315,12 +327,31 @@ def test_scan_field_matches_materialized_field():
     )
     assert abs(scan.sup - sup) <= 1e-12
     for p in (2.0, 4.0):
-        assert abs(scan.moments[p] - moments.grid_moment(field, p)) <= 1e-12
-    mags = field.magnitudes()
-    want_t = float((mags[mags > thr] ** 4).sum()) * grid.cell_measure
+        want = float(np.sum(moments._pow(mags.ravel(), p))) * grid.cell_measure
+        assert abs(scan.moments[p] - want) <= 1e-12
+    want_t = float((mags[mags >= thr] ** 4).sum()) * grid.cell_measure
     assert abs(scan.truncated[(4.0, thr)] - want_t) <= 1e-12
     for lam, m in scan.levels:
-        assert m == moments.level_set_measure(field, lam)
+        assert m == np.count_nonzero(mags >= lam) / mags.size
+
+
+def test_scan_field_keeps_cells_at_the_threshold():
+    # levels and truncated moments count cells with |F| equal to lambda
+    rng = np.random.default_rng(71)
+    seq = random_unit_sequence(2, 3, seed=9)
+    grid = TorusGrid.random_offset(2, 11, 13, rng)
+    mags = np.abs(_field(HYPER, seq, grid)).ravel()
+    picks = np.sort(mags)[[0, 500, -1]]  # attained values, the sup included
+    scan = moments.scan_field(
+        HYPER, seq, grid, p_values=(), thresholds=[(2, t) for t in picks],
+        lambdas=picks,
+    )
+    for lam, m in scan.levels:
+        assert m == np.count_nonzero(mags >= lam) / mags.size
+    assert scan.levels[-1][1] > 0.0
+    for t in picks:
+        want = float(np.sum(mags[mags >= t] ** 2)) * grid.cell_measure
+        assert scan.truncated[(2.0, float(t))] == pytest.approx(want, rel=1e-12)
 
 
 def test_level_set_scaling_proxy():
