@@ -149,6 +149,10 @@ def iter_field_chunks(
     in int64 and no phase error grows with k R(n). The twisted box goes to
     indices n mod m_theta of a zeroed array, transformed in place by an
     unnormalized inverse FFT (sign convention e(+theta . n)).
+
+    A diagonal form with a sequence that declares `factors` a_i takes the
+    separable branch: F = prod_i f_i(c_i alpha, theta_i), each 1-D sum f_i
+    twisted the same way and transformed by one 1-D FFT per axis per chunk.
     """
     seq = _as_sequence(source)
     d, r, m, m_alpha = seq.dim, seq.radius, grid.m_theta, grid.m_alpha
@@ -159,19 +163,22 @@ def iter_field_chunks(
             f"grid too coarse: m_theta={m} is below the support width "
             f"{2 * r + 1} of the sequence (frequencies would alias)"
         )
+    if chunk is None:
+        chunk = max(1, int(2**21 // max(m**d, 1)))
+    roots = np.exp(2j * np.pi * np.arange(m_alpha) / m_alpha)
+    if seq.factors is not None and form.is_diagonal():
+        yield from _separable_chunks(form, seq, grid, roots, chunk)
+        return
     R = _r_grid(form, r)
     offset_phase = grid.offset[0] * R
     for i, g in enumerate(seq.coordinate_grids()):
         offset_phase = offset_phase + grid.offset[1 + i] * g
     base = seq.values * np.exp(2j * np.pi * offset_phase)
     r_mod = R % m_alpha
-    roots = np.exp(2j * np.pi * np.arange(m_alpha) / m_alpha)
     # n in [-r, r] sits at n mod m: box[r:] goes to [0, r], box[:r] to [m-r, m)
     halves = ((slice(r, None), slice(0, r + 1)), (slice(None, r), slice(m - r, m)))
     places = [tuple(zip(*c)) for c in itertools.product(halves, repeat=d)]
 
-    if chunk is None:
-        chunk = max(1, int(2**21 // max(m**d, 1)))
     axes = tuple(range(1, d + 1))
     for start in range(0, m_alpha, chunk):
         k = np.arange(start, min(start + chunk, m_alpha), dtype=np.int64)
@@ -180,6 +187,39 @@ def iter_field_chunks(
         for box, torus in places:
             np.multiply(twist[(..., *box)], base[box], out=vals[(..., *torus)])
         yield start, np.fft.ifftn(vals, axes=axes, norm="forward", out=vals)
+
+
+def _separable_chunks(
+    form: QuadraticForm,
+    seq: CoefficientSequence,
+    grid: TorusGrid,
+    roots: np.ndarray,
+    chunk: int,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """iter_field_chunks for R(n) = sum c_i n_i^2 and a(n) = prod a_i(n_i):
+    per axis the row a_i(n) e(o c_i n^2 + o_i n) e(k c_i n^2 / m_alpha), with
+    k c_i n^2 reduced mod m_alpha in int64, goes to n mod m_theta of a
+    (len(k), m_theta) array and one 1-D inverse FFT; the chunk is the
+    broadcast product of the d transformed rows."""
+    d, r, m, m_alpha = seq.dim, seq.radius, grid.m_theta, grid.m_alpha
+    n = np.arange(-r, r + 1, dtype=np.int64)
+    at = n % m
+    bases = []
+    for i in range(d):
+        sq = form.matrix[i][i] * n * n
+        phase = grid.offset[0] * sq + grid.offset[1 + i] * n
+        bases.append((seq.factors[i] * np.exp(2j * np.pi * phase), sq % m_alpha))
+    for start in range(0, m_alpha, chunk):
+        k = np.arange(start, min(start + chunk, m_alpha), dtype=np.int64)
+        rows = []
+        for i, (base, sq_mod) in enumerate(bases):
+            row = np.zeros((len(k), m), dtype=np.complex128)
+            row[:, at] = roots[np.multiply.outer(k, sq_mod) % m_alpha] * base
+            np.fft.ifft(row, axis=1, norm="forward", out=row)
+            # axis i of the product is axis 1 + i of the chunk
+            shape = (len(k),) + (1,) * i + (m,) + (1,) * (d - 1 - i)
+            rows.append(row.reshape(shape))
+        yield start, functools.reduce(np.multiply, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 A CoefficientSequence holds complex values a(n) for n in [-radius, radius]^d.
 A SmoothWeight is the sequence omega(n) = eta(n/N) with eta the tensor power
 of the shared smooth cutoff: omega = 1 on [-N,N]^d, supported in (-2N, 2N)^d.
+A sequence may declare itself a product a(n) = prod_i a_i(n_i) through
+`factors`; the declaration is checked exactly against the values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
@@ -27,12 +30,33 @@ __all__ = [
 ]
 
 
+def _outer_product(factors: Sequence[np.ndarray]) -> np.ndarray:
+    return functools.reduce(np.multiply.outer, factors)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    # a copy, so that the caller's own array stays writable
+    v = np.array(arr, dtype=np.complex128, order="C")
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True)
 class CoefficientSequence:
+    """Values a(n) on [-radius, radius]^dim, index n + radius.
+
+    `factors`, when given, are dim 1-D arrays of length 2*radius+1 whose outer
+    product equals `values` exactly; the field engine then evaluates F as a
+    product of 1-D sums on diagonal forms.
+    """
+
     dim: int
     radius: int
     values: np.ndarray = field(repr=False)
     label: str = ""
+    factors: tuple[np.ndarray, ...] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.dim < 1 or self.radius < 0:
@@ -41,9 +65,17 @@ class CoefficientSequence:
         arr = np.asarray(self.values, dtype=np.complex128)
         if arr.shape != shape:
             raise ValueError(f"values shape {arr.shape} != expected {shape}")
-        v = np.ascontiguousarray(arr)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _read_only(arr))
+        if self.factors is None:
+            return
+        facs = tuple(_read_only(f) for f in self.factors)
+        if len(facs) != self.dim or any(f.shape != shape[:1] for f in facs):
+            raise ValueError(
+                f"factors must be {self.dim} arrays of shape {shape[:1]}"
+            )
+        if not np.array_equal(_outer_product(facs), self.values):
+            raise ValueError("outer product of the factors != values")
+        object.__setattr__(self, "factors", facs)
 
     @property
     def l2_norm(self) -> float:
@@ -57,8 +89,12 @@ class CoefficientSequence:
         nrm = self.l2_norm
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero sequence")
-        return CoefficientSequence(
-            self.dim, self.radius, self.values / nrm, self.label
+        if self.factors is None:
+            return CoefficientSequence(
+                self.dim, self.radius, self.values / nrm, self.label
+            )
+        return _product_sequence(
+            (self.factors[0] / nrm,) + self.factors[1:], self.label
         )
 
     def coordinate_grids(self) -> list[np.ndarray]:
@@ -91,11 +127,17 @@ class SmoothWeight:
         return bump(n / self.N)
 
     def as_sequence(self) -> CoefficientSequence:
-        p = self.profile()
-        vals = p
-        for _ in range(self.dim - 1):
-            vals = np.multiply.outer(vals, p)
-        return CoefficientSequence(self.dim, self.radius, vals, label="weight")
+        return _product_sequence((self.profile(),) * self.dim, "weight")
+
+
+def _product_sequence(
+    factors: tuple[np.ndarray, ...], label: str
+) -> CoefficientSequence:
+    """a(n) = prod_i factors[i][n_i + radius], with the factors declared."""
+    radius = (len(factors[0]) - 1) // 2
+    return CoefficientSequence(
+        len(factors), radius, _outer_product(factors), label, factors
+    )
 
 
 def _box_values(dim: int, radius: int) -> np.ndarray:
@@ -103,14 +145,13 @@ def _box_values(dim: int, radius: int) -> np.ndarray:
 
 
 def ones_sequence(dim: int, radius: int) -> CoefficientSequence:
-    vals = np.ones((2 * radius + 1,) * dim, dtype=np.complex128)
-    return CoefficientSequence(dim, radius, vals, label="ones")
+    return _product_sequence((np.ones(2 * radius + 1),) * dim, "ones")
 
 
 def delta_sequence(dim: int, radius: int) -> CoefficientSequence:
-    vals = _box_values(dim, radius)
-    vals[(radius,) * dim] = 1.0
-    return CoefficientSequence(dim, radius, vals, label="delta")
+    spike = np.zeros(2 * radius + 1)
+    spike[radius] = 1.0
+    return _product_sequence((spike,) * dim, "delta")
 
 
 def diagonal_extremizer(dim: int, radius: int, s: int) -> CoefficientSequence:

@@ -5,7 +5,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from quadsums import moments
+from quadsums import SmoothWeight, TorusGrid, moments, ones_sequence, parse_form_spec
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -36,3 +36,24 @@ def test_install_and_uninstall_restore_originals(monkeypatch):
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original
     assert moments.build_report is original_report
+
+
+def test_field_spans_count_every_cell(monkeypatch):
+    # the separable branch still yields through iter_field_chunks, so the
+    # benchmark's expsum.field spans cover the whole grid once
+    spans = _load_spans(monkeypatch)
+    form = parse_form_spec("diag:1,-1")
+    cases = (
+        (ones_sequence(2, 4).normalized(), TorusGrid(2, 40, 11, (0.1, 0.2, 0.3))),
+        (SmoothWeight(2, 3), TorusGrid(2, 18, 13, (0.0, 0.0, 0.0))),
+    )
+    for source, grid in cases:
+        tracer = spans.Tracer()
+        try:
+            spans.install(tracer)
+            moments.scan_field(form, source, grid, p_values=(2.0,))
+        finally:
+            tracer.uninstall()
+        field = [s for s in tracer.take() if s.name == spans.FIELD]
+        assert field
+        assert sum(s.counts.get("cells", 0) for s in field) == grid.total_cells

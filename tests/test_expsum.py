@@ -29,8 +29,10 @@ HYPER = parse_form_spec("diag:1,-1")
 LINE = parse_form_spec("diag:1")
 
 
-def _field(form, seq, grid):
-    return np.concatenate([vals for _, vals in iter_field_chunks(form, seq, grid)])
+def _field(form, seq, grid, chunk=None):
+    return np.concatenate(
+        [vals for _, vals in iter_field_chunks(form, seq, grid, chunk=chunk)]
+    )
 
 
 def test_torus_grid_layout():
@@ -112,6 +114,81 @@ def test_field_chunks_edge_sizes():
     delta = delta_sequence(2, 0)
     grid = TorusGrid.random_offset(2, 3, 1, rng)
     _assert_chunks_match_direct(HYPER, delta, grid, None, 1e-14)
+
+
+# diagonal forms with declared product coefficients take the separable branch;
+# the same values without factors take the general engine
+SEPARABLE_FORMS = ("diag:1", "diag:1,-1", "diag:2,-3", "diag:1,1,-1")
+
+
+def _factored_sources(d):
+    r = 3 if d < 3 else 2
+    return (
+        ones_sequence(d, r),
+        ones_sequence(d, r).normalized(),
+        delta_sequence(d, r),
+        SmoothWeight(d, 2 if d < 3 else 1),
+    )
+
+
+def _general(seq):
+    return CoefficientSequence(seq.dim, seq.radius, seq.values)
+
+
+def test_separable_field_matches_general_engine_and_direct():
+    rng = np.random.default_rng(606)
+    for spec in SEPARABLE_FORMS:
+        form = parse_form_spec(spec)
+        d = form.dim
+        for source in _factored_sources(d):
+            seq = source.as_sequence() if isinstance(source, SmoothWeight) else source
+            assert seq.factors is not None
+            grid = TorusGrid.random_offset(d, 7, 2 * seq.radius + 3, rng)
+            for chunk in (1, None):
+                got = _field(form, source, grid, chunk)
+                want = _field(form, _general(seq), grid, chunk)
+                assert got.shape == want.shape
+                scale = np.abs(want).max()
+                assert np.abs(got - want).max() <= 1e-13 * scale, (spec, seq.label)
+            alphas = grid.alphas()
+            thetas = [grid.theta_values(i) for i in range(d)]
+            for _ in range(12):
+                ia = int(rng.integers(grid.m_alpha))
+                it = [int(rng.integers(grid.m_theta)) for _ in range(d)]
+                direct = extension_direct(
+                    form, seq, alphas[ia], [thetas[i][t] for i, t in enumerate(it)]
+                )
+                assert abs(got[(ia, *it)] - direct) <= 1e-13 * scale, (spec, seq.label)
+
+
+def test_separable_field_edge_sizes():
+    rng = np.random.default_rng(608)
+    form = parse_form_spec("diag:2,-3")
+    seq = ones_sequence(2, 3).normalized()
+    # one alpha point, and a theta axis exactly as wide as the support
+    for m_alpha, m_theta in ((1, 11), (6, 7), (1, 7)):
+        grid = TorusGrid.random_offset(2, m_alpha, m_theta, rng)
+        _assert_chunks_match_direct(form, seq, grid, None, 1e-13 * seq.l1_norm)
+        for chunk in (1, None):
+            got = _field(form, seq, grid, chunk)
+            want = _field(form, _general(seq), grid, chunk)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # radius 0: one coefficient, F = a(0) everywhere
+    for seq in (ones_sequence(2, 0), delta_sequence(3, 0)):
+        grid = TorusGrid.random_offset(seq.dim, 3, 1, rng)
+        form = HYPER if seq.dim == 2 else parse_form_spec("diag:1,1,-1")
+        assert np.array_equal(_field(form, seq, grid), np.ones((3,) + (1,) * seq.dim))
+
+
+def test_nondiagonal_form_ignores_factors():
+    rng = np.random.default_rng(609)
+    form = parse_form_spec("mat:2:0,1,1,0")
+    seq = ones_sequence(2, 3)
+    grid = TorusGrid.random_offset(2, 7, 9, rng)
+    for chunk in (1, None):
+        got = _field(form, seq, grid, chunk)
+        assert np.array_equal(got, _field(form, _general(seq), grid, chunk))
+    _assert_chunks_match_direct(form, seq, grid, None, 1e-13 * seq.l1_norm)
 
 
 def test_field_chunks_tile_alpha_axis():

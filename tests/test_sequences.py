@@ -116,3 +116,59 @@ def test_values_read_only():
     seq = ones_sequence(1, 2)
     with pytest.raises(ValueError):
         seq.values[0] = 5.0
+    # the sequence holds its own copies; the caller's arrays stay writable
+    vals, one = np.ones((3, 3), dtype=np.complex128), np.ones(3, dtype=np.complex128)
+    CoefficientSequence(2, 1, vals, factors=(one, one))
+    assert vals.flags.writeable and one.flags.writeable
+
+
+def test_factors_must_match_values():
+    one = np.ones(5)
+    vals = np.ones((5, 5))
+    seq = CoefficientSequence(2, 2, vals, factors=(one, one))
+    assert len(seq.factors) == 2
+    bumped = vals.copy()
+    bumped[1, 3] = 1.0 + 2.0**-40
+    with pytest.raises(ValueError, match="outer product"):
+        CoefficientSequence(2, 2, bumped, factors=(one, one))
+    with pytest.raises(ValueError, match="outer product"):
+        CoefficientSequence(2, 2, vals, factors=(one, 2 * one))
+
+
+def test_factors_shape_validation():
+    one = np.ones(5)
+    vals = np.ones((5, 5))
+    for facs in ((one,), (one, one, one), (one, np.ones(4)), (one, np.ones((5, 1)))):
+        with pytest.raises(ValueError, match="factors must be"):
+            CoefficientSequence(2, 2, vals, factors=facs)
+
+
+def test_factors_read_only():
+    for seq in (ones_sequence(2, 2), delta_sequence(2, 2), SmoothWeight(2, 2).as_sequence()):
+        assert seq.factors is not None and len(seq.factors) == 2
+        for f in seq.factors:
+            assert f.shape == (2 * seq.radius + 1,)
+            with pytest.raises(ValueError):
+                f[0] = 5.0
+
+
+def test_normalized_keeps_factors():
+    for seq in (ones_sequence(2, 3), delta_sequence(2, 3), ones_sequence(3, 2)):
+        unit = seq.normalized()
+        assert unit.factors is not None and unit.label == seq.label
+        assert np.array_equal(unit.values, seq.values / seq.l2_norm)
+        assert unit.values.tobytes() == (seq.values / seq.l2_norm).tobytes()
+    w = SmoothWeight(2, 3).as_sequence().normalized()
+    assert np.array_equal(w.factors[1], SmoothWeight(2, 3).as_sequence().factors[1])
+    assert abs(w.l2_norm - 1.0) <= 1e-14
+
+
+def test_only_product_families_declare_factors():
+    assert make_sequence("ones", 2, 3).factors is not None
+    assert make_sequence("delta", 2, 3).factors is not None
+    assert make_sequence("random-unit", 2, 3, seed=1).factors is None
+    assert make_sequence("extremizer", 2, 3, s=1).factors is None
+    buf = io.StringIO()
+    save_sequence(ones_sequence(2, 1), buf)
+    buf.seek(0)
+    assert load_sequence(buf).factors is None
