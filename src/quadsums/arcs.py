@@ -1,9 +1,10 @@
 """Arc mollifiers on the circle: dyadic bumps at rationals, their Fourier data,
 and the induced major/minor decomposition of smoothed exponential sums.
 
-The family places the scaled cutoff kappa(2^s N (alpha - a/q)) at every
-reduced fraction a/q with q ~ Q (dyadic, Q <= N1 = floor(c1 N)), telescoped
-over dyadic resolutions 2^s in [Q, N]:
+The family places the scaled cutoff kappa(2^s N (alpha - a/q)), kappa being
+the shared profile `bump.bump`, at every reduced fraction a/q with q ~ Q
+(dyadic, Q <= N1 = floor(c1 N)), telescoped over dyadic resolutions 2^s in
+[Q, N]:
 
     phi_s      = kappa(2^s N .) - kappa(2^{s+1} N .),  top scale undifferenced
     Phi_{Q,s}  = sum_{q ~ Q} sum_{gcd(a,q)=1} phi_s(. - a/q)
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bump import SmoothBump, bump
+from .bump import bump
 from .quadform import QuadraticForm, frequency_bound
 from .sequences import SmoothWeight
 from . import expsum
@@ -209,7 +210,7 @@ class MollifierFamily:
     N1 = 0 is the degenerate family: no arcs, lambda = 0, rho = 1.
     """
 
-    def __init__(self, N: int, c1: Fraction | None = None, kappa: SmoothBump = bump):
+    def __init__(self, N: int, c1: Fraction | None = None):
         if N < 1:
             raise ValueError("N must be a positive integer")
         if c1 is None:
@@ -219,7 +220,6 @@ class MollifierFamily:
             raise ValueError(f"c1 must lie in (0, 1], got {c1}")
         self.N = int(N)
         self.c1 = c1
-        self.kappa = kappa
         self.N1 = int(floor(c1 * N))
         self.s_max = int(floor(log2(N))) if N > 1 else 0
         self.N_tilde = 2**self.s_max
@@ -230,7 +230,7 @@ class MollifierFamily:
             Q: sum(_totient(q) for q in range(Q, 2 * Q)) for Q in self.dyadic_Q
         }
         self._rho_integral = 1.0 - sum(
-            self._totients[Q] * (self.kappa.mass / (Q * self.N))
+            self._totients[Q] * (bump.mass / (Q * self.N))
             for Q in self.dyadic_Q
         )
 
@@ -268,9 +268,6 @@ class MollifierFamily:
                     f"meets {a2}/{q2} +- 2/({Q2}*{self.N}) "
                     f"(N={self.N}, c1={self.c1}); choose a smaller c1",
                 )
-
-    def _totient_block(self, Q: int) -> int:
-        return self._totients[Q]
 
     # -- index bookkeeping
 
@@ -337,9 +334,9 @@ class MollifierFamily:
             raise ValueError(f"s must lie in [0, {self.s_max}]")
         scale = float((1 << s) * self.N)
         if s == self.s_max:
-            return self.kappa(np.asarray(x, dtype=float) * scale)
+            return bump(np.asarray(x, dtype=float) * scale)
         x_arr = np.asarray(x, dtype=float)
-        return self.kappa(x_arr * scale) - self.kappa(x_arr * 2.0 * scale)
+        return bump(x_arr * scale) - bump(x_arr * 2.0 * scale)
 
     def Phi_Qs(self, Q: int, s: int, alpha: float) -> float:
         """Phi_{Q,s}(alpha) = sum over fractions q ~ Q of phi_s(alpha - a/q)."""
@@ -360,7 +357,7 @@ class MollifierFamily:
             hit = self.nearest_fraction(x, Q)
             if hit is not None:
                 a, q = hit
-                lam += float(self.kappa(Q * self.N * (x - a / q)))
+                lam += float(bump(Q * self.N * (x - a / q)))
         return lam, 1.0 - lam
 
     def rho_values(self, alphas: Iterable[float]) -> np.ndarray:
@@ -373,13 +370,13 @@ class MollifierFamily:
             raise ValueError(f"s must lie in [0, {self.s_max}]")
         scale = (1 << s) * self.N
         if s == self.s_max:
-            return self.kappa.mass / scale
-        return self.kappa.mass / (2 * scale)
+            return bump.mass / scale
+        return bump.mass / (2 * scale)
 
     def Phi_integral(self, Q: int, s: int) -> float:
         """int Phi_{Q,s} = (# fractions with q ~ Q) * int phi_s, exactly."""
         self._check_block(Q, s)
-        return self._totient_block(Q) * self.phi_s_integral(s)
+        return self._totients[Q] * self.phi_s_integral(s)
 
     @property
     def rho_integral(self) -> float:
@@ -389,8 +386,8 @@ class MollifierFamily:
         """Fourier transform of the unit-scale shell: kappa-hat(xi) minus half
         of kappa-hat(xi/2), undifferenced at the top scale."""
         if s == self.s_max:
-            return self.kappa.fourier(xi)
-        return self.kappa.fourier(xi) - 0.5 * self.kappa.fourier(xi / 2.0)
+            return bump.fourier(xi)
+        return bump.fourier(xi) - 0.5 * bump.fourier(xi / 2.0)
 
     def ramanujan_block(self, Q: int, n: int) -> int:
         return sum(ramanujan_sum(q, n) for q in range(Q, 2 * Q))
@@ -508,5 +505,5 @@ def partition_identity_check(
     total = np.zeros_like(x)
     for s in fam.s_range(Q):
         total = total + fam.phi_s(s, x)
-    target = fam.kappa(Q * fam.N * x)
+    target = bump(Q * fam.N * x)
     return float(np.abs(total - target).max())

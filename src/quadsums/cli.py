@@ -326,13 +326,11 @@ def cmd_diagonalize(cfg: RunConfig) -> int:
     sig = signature(form)
     print(f"transform rows: {[list(r) for r in diag.transform]}")
     print(f"diagonal: {[str(c) for c in diag.coeffs]}")
-    print(f"q_lat: {diag.q_lat}")
     print(f"signature: p={sig[0]} q={sig[1]} s={sig[2]}")
     if cfg.out_json:
         payload = {
             "transform": [list(r) for r in diag.transform],
             "diagonal": [str(c) for c in diag.coeffs],
-            "q_lat": diag.q_lat,
             "signature": list(sig),
         }
         _write(cfg.out_json, json.dumps(payload, sort_keys=True))

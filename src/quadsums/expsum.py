@@ -36,7 +36,8 @@ __all__ = [
     "major_arc_approx",
 ]
 
-TWO_PI = 2.0 * np.pi
+#: Gauss-Legendre nodes per piece, the floor of every per-axis quadrature order
+QUAD_ORDER = 8
 
 Source = Union[CoefficientSequence, SmoothWeight]
 
@@ -69,6 +70,11 @@ class TorusGrid:
     offset: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("dim", "m_alpha", "m_theta"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.dim < 1 or self.m_alpha < 1 or self.m_theta < 1:
             raise ValueError("grid dimensions must be positive")
         off = tuple(float(x) for x in self.offset)
@@ -143,16 +149,12 @@ def iter_field_chunks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (alpha start index, values[start:start+k]) over all alpha slices.
 
-    At alpha_k = o + k/m_alpha, a(n) is twisted by base(n) = a(n) e(o R(n) +
-    offset . n), computed once per call, times the root-table entry
-    e(j/m_alpha) with j = k R(n) mod m_alpha. R(n) is an integer, so j is exact
-    in int64 and no phase error grows with k R(n). The twisted box goes to
-    indices n mod m_theta of a zeroed array, transformed in place by an
-    unnormalized inverse FFT (sign convention e(+theta . n)).
-
-    A diagonal form with a sequence that declares `factors` a_i takes the
-    separable branch: F = prod_i f_i(c_i alpha, theta_i), each 1-D sum f_i
-    twisted the same way and transformed by one 1-D FFT per axis per chunk.
+    The sum is carried by boxes [-r, r]^e, each twisted once per call by
+    `_twisted_box` and transformed per chunk of alpha indices by `_chunk_fft`;
+    a chunk is the broadcast product of the boxes' chunks. In general there is
+    one d-dim box (R(n), a(n)). A diagonal form with a sequence that declares
+    `factors` a_i has d 1-D boxes (c_i n^2, a_i), since then
+    F = prod_i f_i(c_i alpha, theta_i).
     """
     seq = _as_sequence(source)
     d, r, m, m_alpha = seq.dim, seq.radius, grid.m_theta, grid.m_alpha
@@ -166,60 +168,62 @@ def iter_field_chunks(
     if chunk is None:
         chunk = max(1, int(2**21 // max(m**d, 1)))
     roots = np.exp(2j * np.pi * np.arange(m_alpha) / m_alpha)
+    o = grid.offset
     if seq.factors is not None and form.is_diagonal():
-        yield from _separable_chunks(form, seq, grid, roots, chunk)
-        return
-    R = _r_grid(form, r)
-    offset_phase = grid.offset[0] * R
-    for i, g in enumerate(seq.coordinate_grids()):
-        offset_phase = offset_phase + grid.offset[1 + i] * g
-    base = seq.values * np.exp(2j * np.pi * offset_phase)
-    r_mod = R % m_alpha
+        n = np.arange(-r, r + 1, dtype=np.int64)
+        boxes = [
+            _twisted_box(form.matrix[i][i] * n * n, a_i, (o[0], o[1 + i]), m_alpha)
+            for i, a_i in enumerate(seq.factors)
+        ]
+    else:
+        boxes = [_twisted_box(_r_grid(form, r), seq.values, o, m_alpha)]
+    for start in range(0, m_alpha, chunk):
+        k = np.arange(start, min(start + chunk, m_alpha), dtype=np.int64)
+        parts = []
+        for i, box in enumerate(boxes):
+            # box i starts at theta axis i: the d-dim box fills all d axes
+            vals = _chunk_fft(box, k, roots, m)
+            shape = vals.shape[:1] + (1,) * i + vals.shape[1:]
+            parts.append(vals.reshape(shape + (1,) * (d + 1 - len(shape))))
+        yield start, functools.reduce(np.multiply, parts)
+
+
+def _twisted_box(
+    R: np.ndarray, values: np.ndarray, offset: Sequence[float], m_alpha: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a(n) e(o_alpha R(n) + o_theta . n), R(n) mod m_alpha) on [-r, r]^e,
+    for offset = (o_alpha, o_theta): the alpha-independent part of the twist."""
+    r = (R.shape[0] - 1) // 2
+    coords = np.meshgrid(*[np.arange(-r, r + 1)] * R.ndim, indexing="ij", sparse=True)
+    phase = offset[0] * R
+    for o_i, n_i in zip(offset[1:], coords):
+        phase = phase + o_i * n_i
+    return values * np.exp(2j * np.pi * phase), R % m_alpha
+
+
+def _chunk_fft(
+    box: tuple[np.ndarray, np.ndarray], k: np.ndarray, roots: np.ndarray, m: int
+) -> np.ndarray:
+    """The box's sum at alpha indices k on the m^e theta grid.
+
+    base(n) is twisted by the root-table entry e(j/m_alpha), j = k R(n) mod
+    m_alpha (exact in int64, so no phase error grows with k R(n)), placed at
+    n mod m of a zeroed array and transformed there by an unnormalized
+    inverse FFT (sign convention e(+theta . n)).
+    """
+    base, r_mod = box
+    e, r = base.ndim, (base.shape[0] - 1) // 2
+    vals = np.zeros((len(k),) + (m,) * e, dtype=np.complex128)
+    twist = roots[np.multiply.outer(k, r_mod) % len(roots)]
+    # one product over the whole box: numpy rounds a one-element product by
+    # another loop, so per-corner products would make values depend on chunk
+    twist *= base
     # n in [-r, r] sits at n mod m: box[r:] goes to [0, r], box[:r] to [m-r, m)
     halves = ((slice(r, None), slice(0, r + 1)), (slice(None, r), slice(m - r, m)))
-    places = [tuple(zip(*c)) for c in itertools.product(halves, repeat=d)]
-
-    axes = tuple(range(1, d + 1))
-    for start in range(0, m_alpha, chunk):
-        k = np.arange(start, min(start + chunk, m_alpha), dtype=np.int64)
-        twist = roots[np.multiply.outer(k, r_mod) % m_alpha]
-        vals = np.zeros((len(k),) + (m,) * d, dtype=np.complex128)
-        for box, torus in places:
-            np.multiply(twist[(..., *box)], base[box], out=vals[(..., *torus)])
-        yield start, np.fft.ifftn(vals, axes=axes, norm="forward", out=vals)
-
-
-def _separable_chunks(
-    form: QuadraticForm,
-    seq: CoefficientSequence,
-    grid: TorusGrid,
-    roots: np.ndarray,
-    chunk: int,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """iter_field_chunks for R(n) = sum c_i n_i^2 and a(n) = prod a_i(n_i):
-    per axis the row a_i(n) e(o c_i n^2 + o_i n) e(k c_i n^2 / m_alpha), with
-    k c_i n^2 reduced mod m_alpha in int64, goes to n mod m_theta of a
-    (len(k), m_theta) array and one 1-D inverse FFT; the chunk is the
-    broadcast product of the d transformed rows."""
-    d, r, m, m_alpha = seq.dim, seq.radius, grid.m_theta, grid.m_alpha
-    n = np.arange(-r, r + 1, dtype=np.int64)
-    at = n % m
-    bases = []
-    for i in range(d):
-        sq = form.matrix[i][i] * n * n
-        phase = grid.offset[0] * sq + grid.offset[1 + i] * n
-        bases.append((seq.factors[i] * np.exp(2j * np.pi * phase), sq % m_alpha))
-    for start in range(0, m_alpha, chunk):
-        k = np.arange(start, min(start + chunk, m_alpha), dtype=np.int64)
-        rows = []
-        for i, (base, sq_mod) in enumerate(bases):
-            row = np.zeros((len(k), m), dtype=np.complex128)
-            row[:, at] = roots[np.multiply.outer(k, sq_mod) % m_alpha] * base
-            np.fft.ifft(row, axis=1, norm="forward", out=row)
-            # axis i of the product is axis 1 + i of the chunk
-            shape = (len(k),) + (1,) * i + (m,) + (1,) * (d - 1 - i)
-            rows.append(row.reshape(shape))
-        yield start, functools.reduce(np.multiply, rows)
+    for corner in itertools.product(halves, repeat=e):
+        at, to = zip(*corner)
+        vals[(..., *to)] = twist[(..., *at)]
+    return np.fft.ifftn(vals, axes=tuple(range(1, e + 1)), norm="forward", out=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +232,7 @@ def _separable_chunks(
 
 def _residue_r_mod(form: QuadraticForm, q: int) -> np.ndarray:
     """R(u) mod q on u in [0,q)^d as int64."""
-    d = form.dim
-    coords = np.arange(q, dtype=np.int64)
-    grids = np.meshgrid(*([coords] * d), indexing="ij")
-    out = np.zeros_like(grids[0])
-    for i in range(d):
-        for j in range(d):
-            mij = form.matrix[i][j]
-            if mij:
-                out += (mij % q) * grids[i] * grids[j]
-    return out % q
+    return form.values_on([np.arange(q, dtype=np.int64)] * form.dim) % q
 
 
 def gauss_sum(
@@ -312,7 +307,6 @@ def _axis_orders(
     beta: float,
     gamma_bound: Sequence[float],
     N: int,
-    quad_order: int,
 ) -> list[int]:
     """Per-axis node counts from the phase bandwidth.
 
@@ -323,7 +317,7 @@ def _axis_orders(
     for i in range(form.dim):
         row = sum(abs(v) for v in form.matrix[i])
         nu = abs(beta) * N * N * 4.0 * row + N * abs(gamma_bound[i])
-        n = max(quad_order, int(32 * ceil((4.5 * nu + 24.0) / 32)))
+        n = max(QUAD_ORDER, int(32 * ceil((4.5 * nu + 24.0) / 32)))
         orders.append(n)
     return orders
 
@@ -355,13 +349,7 @@ def _integral_batch(
         raise ValueError(
             f"tensor quadrature grid of {total} nodes exceeds {max_nodes}"
         )
-    grids = np.meshgrid(*[x for x, _ in rules], indexing="ij", sparse=True)
-    R = np.zeros(tuple(len(x) for x, _ in rules))
-    for i in range(d):
-        for j in range(d):
-            mij = form.matrix[i][j]
-            if mij:
-                R += mij * grids[i] * grids[j]
+    R = form.values_on([x for x, _ in rules])
     core = np.exp(2j * np.pi * beta * N * N * R)
     core *= functools.reduce(np.multiply.outer, [w * bump(x) for x, w in rules])
     out = np.empty(len(gammas), dtype=np.complex128)
@@ -390,18 +378,15 @@ def oscillatory_integral(
     beta: float,
     gamma: Sequence[float],
     N: int,
-    quad_order: int = 8,
 ) -> OscillatoryIntegral:
     """Tensor Gauss-Legendre value of I(beta, gamma; N) with an a-posteriori
     error estimate (difference against the half-order rule)."""
-    if quad_order < 8:
-        raise ValueError("quad_order must be >= 8")
     g = np.asarray(gamma, dtype=float)
     if g.shape != (form.dim,):
         raise ValueError(f"gamma must have length {form.dim}")
-    orders = _axis_orders(form, beta, np.abs(g), N, quad_order)
+    orders = _axis_orders(form, beta, np.abs(g), N)
     full = _integral_batch(form, beta, g[None, :], N, orders)[0]
-    halves = [max(8, o // 2) for o in orders]
+    halves = [max(QUAD_ORDER, o // 2) for o in orders]
     half = _integral_batch(form, beta, g[None, :], N, halves)[0]
     return OscillatoryIntegral(complex(full), abs(full - half), tuple(orders))
 
@@ -422,7 +407,6 @@ def major_arc_approx(
     beta: float,
     theta: Sequence[float],
     m_cut: int = 3,
-    quad_order: int = 8,
 ) -> MajorArcApprox:
     """Poisson-summation approximant to the smoothed sum at alpha = a/q + beta:
 
@@ -452,7 +436,7 @@ def major_arc_approx(
         th[None, None, :] - b_grid[:, None, :] / q - m_grid[None, :, :]
     ).reshape(-1, d)
     gamma_bound = np.abs(th) + 1.0 + m_cut
-    orders = _axis_orders(form, beta, gamma_bound, N, quad_order)
+    orders = _axis_orders(form, beta, gamma_bound, N)
     ivals = _integral_batch(form, beta, gammas, N, orders).reshape(
         len(b_grid), len(m_grid)
     )

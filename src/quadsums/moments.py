@@ -207,7 +207,7 @@ def nyquist_sizes(form: QuadraticForm, N: int, p: int) -> tuple[int, int]:
     """Smallest (m_alpha, m_theta) that integrate |F|^p exactly for even p."""
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
-    return _nyquist_targets(form, N, p)
+    return _nyquist_targets(form, N, int(p))
 
 
 def nyquist_grid(form: QuadraticForm, N: int, dim: int, p: int) -> TorusGrid:

@@ -77,18 +77,22 @@ class QuadraticForm:
             if i != j
         )
 
-    def values_on_grid(self, radius: int) -> np.ndarray:
-        """R(n) for n in [-radius, radius]^d as an int64 array, index n+radius."""
-        d = self.dim
-        coords = np.arange(-radius, radius + 1, dtype=np.int64)
-        grids = np.meshgrid(*([coords] * d), indexing="ij")
-        out = np.zeros_like(grids[0])
-        for i in range(d):
-            for j in range(d):
+    def values_on(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """R on the product of the coordinate axes, in their dtype; entry
+        [i_1, ..., i_d] is R(axes[0][i_1], ..., axes[d-1][i_d])."""
+        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+        out = np.zeros([len(a) for a in axes], dtype=np.result_type(*axes))
+        for i in range(self.dim):
+            for j in range(self.dim):
                 m = self.matrix[i][j]
                 if m:
                     out += m * grids[i] * grids[j]
         return out
+
+    def values_on_grid(self, radius: int) -> np.ndarray:
+        """R(n) for n in [-radius, radius]^d as an int64 array, index n+radius."""
+        axis = np.arange(-radius, radius + 1, dtype=np.int64)
+        return self.values_on([axis] * self.dim)
 
 
 @dataclass(frozen=True)
@@ -96,17 +100,15 @@ class RationalDiagonalization:
     """R(v) = sum_i coeffs[i] * (transform @ v)[i]^2, exactly.
 
     Rows of `transform` are primitive integer vectors (squares absorbed into
-    `coeffs`), so the image lattice transform(Z^d) sits inside q_lat^{-1} Z^d
-    with q_lat = lcm of the (unit) row denominators, i.e. q_lat = 1 here.
+    `coeffs`), so transform maps Z^d into Z^d.
     """
 
     transform: tuple[tuple[int, ...], ...]
     coeffs: tuple[Fraction, ...]
-    q_lat: int
 
     def apply(self, v: Sequence[int]) -> tuple[Fraction, ...]:
         return tuple(
-            Fraction(sum(r * int(x) for r, x in zip(row, v)), self.q_lat)
+            Fraction(sum(r * int(x) for r, x in zip(row, v)))
             for row in self.transform
         )
 
@@ -115,7 +117,7 @@ class RationalDiagonalization:
         return sum(
             (c * wi * wi for c, wi in zip(self.coeffs, w)),
             start=Fraction(0),
-        ) / (self.q_lat * self.q_lat)
+        )
 
 
 def evaluate(form: QuadraticForm, n: Sequence[int]) -> int:
@@ -238,8 +240,7 @@ def diagonalize_rational(form: QuadraticForm) -> RationalDiagonalization:
         coeffs.append(c / (scale * scale))
         rows_int.append(tuple(ints))
 
-    q_lat = 1  # rows are integral after normalization
-    result = RationalDiagonalization(tuple(rows_int), tuple(coeffs), q_lat)
+    result = RationalDiagonalization(tuple(rows_int), tuple(coeffs))
 
     # exact matrix identity M = T^T D T guards the whole construction
     T = [[Fraction(v) for v in row] for row in result.transform]

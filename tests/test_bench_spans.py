@@ -5,7 +5,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from quadsums import SmoothWeight, TorusGrid, moments, ones_sequence, parse_form_spec
+from quadsums import (
+    SmoothWeight,
+    TorusGrid,
+    moments,
+    ones_sequence,
+    parse_form_spec,
+    random_unit_sequence,
+)
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -39,15 +46,17 @@ def test_install_and_uninstall_restore_originals(monkeypatch):
 
 
 def test_field_spans_count_every_cell(monkeypatch):
-    # the separable branch still yields through iter_field_chunks, so the
-    # benchmark's expsum.field spans cover the whole grid once
+    # both engine branches yield through iter_field_chunks, so the benchmark's
+    # expsum.field spans cover the whole grid exactly once
     spans = _load_spans(monkeypatch)
-    form = parse_form_spec("diag:1,-1")
+    hyper, cross = parse_form_spec("diag:1,-1"), parse_form_spec("mat:2:0,1,1,0")
     cases = (
-        (ones_sequence(2, 4).normalized(), TorusGrid(2, 40, 11, (0.1, 0.2, 0.3))),
-        (SmoothWeight(2, 3), TorusGrid(2, 18, 13, (0.0, 0.0, 0.0))),
+        (hyper, ones_sequence(2, 4).normalized(), TorusGrid(2, 40, 11, (0.1, 0.2, 0.3))),
+        (hyper, SmoothWeight(2, 3), TorusGrid(2, 18, 13, (0.0, 0.0, 0.0))),
+        # random-unit declares no factors: the general engine's single box
+        (cross, random_unit_sequence(2, 3, seed=2), TorusGrid(2, 30, 9, (0.4, 0.1, 0.7))),
     )
-    for source, grid in cases:
+    for form, source, grid in cases:
         tracer = spans.Tracer()
         try:
             spans.install(tracer)

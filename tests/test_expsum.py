@@ -47,6 +47,14 @@ def test_torus_grid_layout():
         TorusGrid(2, 4, 5, (0.0, 0.0))
     with pytest.raises(ValueError):
         TorusGrid(1, 4, 5, (0.0, 1.5))
+    # sizes are integers: numpy integers are stored as int, floats and bools fail
+    sized = TorusGrid(np.int64(2), np.int32(513), np.int64(33), (0.0, 0.0, 0.0))
+    assert (sized.dim, sized.m_alpha, sized.m_theta) == (2, 513, 33)
+    assert all(type(v) is int for v in (sized.dim, sized.m_alpha, sized.m_theta))
+    bad_sizes = ((2, 513.0, 33), (2, 513, 33.0), (2.0, 4, 5), (True, 4, 5))
+    for dim, m_alpha, m_theta in bad_sizes:
+        with pytest.raises(ValueError, match="must be an integer"):
+            TorusGrid(dim, m_alpha, m_theta, (0.0, 0.0, 0.0))
 
 
 def test_grid_matches_direct():
@@ -209,6 +217,19 @@ def test_field_chunks_tile_alpha_axis():
             assert sizes == [4, 4, 2]
         else:
             assert len(sizes) == 3
+    # the tiling changes no bit of the field, down to one-alpha chunks at radius 1
+    rng = np.random.default_rng(17)
+    cross = parse_form_spec("mat:2:0,1,1,0")
+    for form, seq in (
+        (HYPER, ones_sequence(2, 1)),
+        (HYPER, random_unit_sequence(2, 1, seed=3)),
+        (cross, random_unit_sequence(2, 1, seed=4)),
+        (HYPER, delta_sequence(2, 0)),
+    ):
+        grid = TorusGrid.random_offset(2, 7, 6, rng)
+        whole = _field(form, seq, grid)
+        for chunk in (1, 3):
+            assert _field(form, seq, grid, chunk).tobytes() == whole.tobytes()
 
 
 def test_field_phases_exact_at_large_k_times_R():
@@ -444,8 +465,6 @@ def test_integral_batch_axis_contraction_matches_dense_sum():
 
 
 def test_oscillatory_integral_validation():
-    with pytest.raises(ValueError):
-        oscillatory_integral(LINE, 0.0, [0.0], 4, quad_order=4)
     with pytest.raises(ValueError):
         oscillatory_integral(HYPER, 0.0, [0.0], 4)
 

@@ -236,6 +236,8 @@ def test_representation_count():
 def test_nyquist_sizes_and_sufficiency():
     assert moments.nyquist_sizes(LINE, 4, 4) == (257, 33)
     assert moments.nyquist_sizes(HYPER, 2, 4) == (129, 17)
+    sizes = moments.nyquist_sizes(HYPER, 4, 4.0)
+    assert sizes == (513, 33) and all(type(v) is int for v in sizes)
     grid = moments.nyquist_grid(LINE, 4, 1, 4)
     assert grid.offset == (0.0, 0.0)
     assert moments.nyquist_sufficient(grid, LINE, 4, 4)

@@ -73,7 +73,6 @@ def test_signature_dual_route():
 def test_diagonalize_hyperbolic_plane():
     form = QuadraticForm(np.array([[0, 1], [1, 0]]))
     diag = diagonalize_rational(form)
-    assert diag.q_lat == 1
     assert [list(row) for row in diag.transform] == [[1, 1], [1, -1]]
     assert list(diag.coeffs) == [Fraction(1, 2), Fraction(-1, 2)]
 
@@ -128,10 +127,23 @@ def test_values_on_grid_matches_evaluate():
     form = QuadraticForm(np.array([[1, 2], [2, -1]]))
     r = 3
     vals = form.values_on_grid(r)
+    assert vals.dtype == np.int64
     axis = np.arange(-r, r + 1)
     for i, x in enumerate(axis):
         for j, y in enumerate(axis):
             assert vals[i, j] == evaluate(form, (x, y))
+    # values_on: float axes give float R, residue axes [0, q) per axis
+    xs, ys = np.array([-1.5, 0.25, 2.0]), np.array([0.5, -3.0])
+    fvals = form.values_on([xs, ys])
+    assert fvals.dtype == np.float64 and fvals.shape == (3, 2)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            assert fvals[i, j] == x * x + 4 * x * y - y * y
+    q = 5
+    res = form.values_on([np.arange(q)] * 2)
+    for u in range(q):
+        for v in range(q):
+            assert res[u, v] == evaluate(form, (u, v))
 
 
 def test_parse_form_spec():
