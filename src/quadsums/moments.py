@@ -16,6 +16,7 @@ not work.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -224,13 +225,23 @@ def nyquist_sufficient(grid: TorusGrid, form: QuadraticForm, N: int, p) -> bool:
 
 
 def _pow(mag: np.ndarray, p) -> np.ndarray:
-    if p == int(p) and int(p) % 2 == 0:
-        return (mag * mag) ** (int(p) // 2)
+    if p == int(p) and int(p) % 2 == 0 and p > 0:
+        # repeated products of mag^2: a float power costs twice as much
+        sq = mag * mag
+        out = sq
+        for _ in range(int(p) // 2 - 1):
+            out = out * sq
+        return out
     return mag**p
 
 
 # ---------------------------------------------------------------------------
 # streaming scan
+
+# Cells of a field chunk reduced at once, so that each pass's temporaries
+# stay in cache instead of streaming chunk-sized arrays through memory.
+_SCAN_BLOCK = 2**15
+
 
 @dataclass
 class FieldScan:
@@ -254,37 +265,56 @@ def scan_field(
     ((p, absolute threshold) pairs), level-set counts and the sup norm.
 
     Levels are reported in ascending lambda order, each as the fraction of
-    cells with |F| >= lambda; a negative lambda raises ValueError. Chunking
-    is deterministic, so accumulation order and results are reproducible run
-    to run.
+    cells with |F| >= lambda; a negative lambda, and a non-finite lambda or
+    threshold, raise ValueError. Each chunk is reduced in `_SCAN_BLOCK`-cell
+    blocks, and truncated moments and positive rungs read only the cells at
+    or above the smallest cut. Chunking and blocking are deterministic, so
+    accumulation order and results are reproducible run to run.
     """
     p_values = tuple(p_values)
     thresholds = tuple((float(p), float(t)) for p, t in thresholds)
     lams = np.asarray(sorted(float(l) for l in lambdas), dtype=float)
+    if not np.all(np.isfinite(lams)):
+        raise ValueError("lambda must be finite")
     if lams.size and lams[0] < 0:
         raise ValueError("lambda must be >= 0")
-    sums = {p: 0.0 for p in p_values}
-    trunc = {key: 0.0 for key in thresholds}
-    counts = np.zeros(lams.size, dtype=np.int64)
+    if not all(np.isfinite(t) for _, t in thresholds):
+        raise ValueError("threshold must be finite")
+    rungs = lams[lams > 0]
+    n_zero = lams.size - rungs.size  # rungs at 0, each counting every cell
+    # cells below every cut reach no truncated moment and no positive rung
+    lo = min([t for _, t in thresholds] + list(rungs), default=0.0)
+    # per-block partial sums, added exactly at the end: a running float sum
+    # over hundreds of blocks would drift by several ulp
+    sums = {p: [] for p in p_values}
+    trunc = {key: [] for key in thresholds}
+    n_nonneg = 0
+    hist = np.zeros(rungs.size + 1, dtype=np.int64)
     sup = 0.0
     for _, vals in iter_field_chunks(form, source, grid):
-        mag = np.abs(vals).ravel()
-        sup = max(sup, float(mag.max()))
-        for p in p_values:
-            sums[p] += float(np.sum(_pow(mag, p)))
-        for p, thr in thresholds:
-            kept = mag[mag >= thr]
-            if kept.size:
-                trunc[(p, thr)] += float(np.sum(_pow(kept, p)))
-        if lams.size:
-            bins = np.searchsorted(lams, mag, side="right")
-            hist = np.bincount(bins, minlength=lams.size + 1)
-            counts += hist[::-1].cumsum()[::-1][1:]
+        flat = vals.reshape(-1)
+        for b0 in range(0, flat.size, _SCAN_BLOCK):
+            mag = np.abs(flat[b0 : b0 + _SCAN_BLOCK])
+            sup = max(sup, float(mag.max()))
+            for p in p_values:
+                sums[p].append(float(np.sum(_pow(mag, p))))
+            tail = mag if lo <= 0 else mag[mag >= lo]
+            for p, thr in thresholds:
+                kept = tail[tail >= thr]
+                if kept.size:
+                    trunc[(p, thr)].append(float(np.sum(_pow(kept, p))))
+            if n_zero:
+                n_nonneg += int(np.count_nonzero(mag >= 0))
+            if rungs.size:
+                bins = np.searchsorted(rungs, tail, side="right")
+                hist += np.bincount(bins, minlength=rungs.size + 1)
+    above = hist[::-1].cumsum()[::-1][1:]
+    counts = np.concatenate([np.full(n_zero, n_nonneg), above])
     meas = counts / grid.total_cells
     return FieldScan(
         sup=sup,
-        moments={p: sums[p] * grid.cell_measure for p in p_values},
-        truncated={key: trunc[key] * grid.cell_measure for key in thresholds},
+        moments={p: math.fsum(sums[p]) * grid.cell_measure for p in p_values},
+        truncated={k: math.fsum(trunc[k]) * grid.cell_measure for k in thresholds},
         levels=[(float(l), float(m)) for l, m in zip(lams, meas)],
     )
 
@@ -374,6 +404,8 @@ def build_report(
     exact value. `exact` says whether the first grid is Nyquist-exact.
     N is the weight's N for a SmoothWeight and the radius otherwise.
     """
+    if not np.isfinite(C):
+        raise ValueError("C must be finite")
     if C <= 0:
         raise ValueError("C must be positive")
     seq = _as_sequence(source)

@@ -131,6 +131,8 @@ def budgeted_grid_sizes(
     """Grid sizes under a cell budget: start the theta axes at the minimum the
     support allows, spend the budget on the alpha axis up to its Nyquist
     target, then grow theta toward its own target with whatever is left."""
+    if not (np.isfinite(p) and p > 0):
+        raise ValueError(f"p must be positive and finite, got {p}")
     want_alpha, want_theta = moments._nyquist_targets(form, N, int(ceil(p)))
     m_min = 2 * radius + 1
     if m_min**dim > max_cells:

@@ -90,6 +90,26 @@ def test_negative_lambda_exits_2():
     assert "lambda must be >= 0" in err
 
 
+def test_nonfinite_rung_and_C_exit_2():
+    base = ["--form", "diag:1,-1", "--family", "ones", "--N", "4",
+            "--grid", "nyquist", "--p", "4"]
+    code, out, err = _run(["levelset", *base, "--lambdas", "81,nan,27,0"])
+    assert code == 2 and out == ""
+    assert "lambda must be finite" in err
+    code, out, err = _run(["truncated", *base, "--C", "nan"])
+    assert code == 2 and out == ""
+    assert "C must be finite" in err
+
+
+def test_nonpositive_p_budgeted_exits_2():
+    code, out, err = _run(
+        ["moment", "--form", "diag:1,-1", "--N", "4", "--p", "-2",
+         "--grid", "budgeted"]
+    )
+    assert code == 2 and out == ""
+    assert "p must be positive and finite" in err
+
+
 def test_short_N_list_exits_2():
     code, _, err = _run(["scaling", "--form", "diag:1,-1", "--N-list", "2,4"])
     assert code == 2

@@ -280,6 +280,11 @@ def test_truncated_moment_monotone_in_C():
         moments.build_report(LINE, seq, [grid], 4, C=0.0)
     with pytest.raises(ValueError):
         moments.build_report(LINE, seq, [grid], 4, C=-1.0)
+    for C in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="C must be finite"):
+            moments.build_report(LINE, seq, [grid], 4, C=C)
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        moments.scan_field(LINE, seq, grid, thresholds=[(4, float("nan"))])
 
 
 def test_level_set_measures():
@@ -298,6 +303,10 @@ def test_level_set_measures():
         assert m == np.count_nonzero(mags >= lam) / mags.size
     with pytest.raises(ValueError):
         moments.scan_field(LINE, seq, grid, p_values=(), lambdas=(0.5, -0.2))
+    # a NaN rung would leave the ladder unsorted and miscount every level
+    for bad in ((81.0, float("nan"), 27.0, 0.0), (0.5, float("inf"))):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            moments.scan_field(LINE, seq, grid, p_values=(), lambdas=bad)
 
 
 def test_level_set_flat_field():
@@ -354,6 +363,51 @@ def test_scan_field_keeps_cells_at_the_threshold():
     for t in picks:
         want = float(np.sum(mags[mags >= t] ** 2)) * grid.cell_measure
         assert scan.truncated[(2.0, float(t))] == pytest.approx(want, rel=1e-12)
+
+
+def test_scan_field_blocked_at_scale():
+    # grids of two engine chunks and many scan blocks, on both engine
+    # branches: sup and level counts equal those of np.abs over the field
+    rng = np.random.default_rng(8)
+    cases = (
+        (HYPER, ones_sequence(2, 4), TorusGrid(2, 2000, 33, (0.0,) * 3)),
+        (
+            parse_form_spec("mat:2:0,1,1,0"),
+            random_unit_sequence(2, 4, seed=5),
+            TorusGrid.random_offset(2, 2000, 33, rng),
+        ),
+    )
+    for form, seq, grid in cases:
+        chunks = [np.abs(v).ravel() for _, v in iter_field_chunks(form, seq, grid)]
+        assert len(chunks) >= 2
+        mags = np.concatenate(chunks)
+        assert mags.size >= 3 * moments._SCAN_BLOCK
+        srt = np.sort(mags)
+        t_att = float(srt[9 * mags.size // 10])
+        lams = (0.0, 0.5 * t_att, float(srt[mags.size // 2]), t_att, float(srt[-1]))
+        # a threshold <= 0 keeps every cell; without it only the tail is read
+        for thrs in (((6.0, 0.0), (2.0, t_att)), ((6.0, t_att),)):
+            scan = moments.scan_field(
+                form, seq, grid, p_values=(2.0, 3.0, 6.0), thresholds=thrs,
+                lambdas=lams,
+            )
+            assert scan.sup == srt[-1]
+            for lam, m in scan.levels:
+                assert m == np.count_nonzero(mags >= lam) / mags.size
+            for p in (2.0, 3.0, 6.0):
+                want = float(np.sum(mags**p)) * grid.cell_measure
+                assert scan.moments[p] == pytest.approx(want, rel=1e-13)
+            for p, t in thrs:
+                want = float(np.sum(mags[mags >= t] ** p)) * grid.cell_measure
+                assert scan.truncated[(p, t)] == pytest.approx(want, rel=1e-13)
+    # |F| attains 27 at 18 cells of this grid, where the computed values
+    # straddle 27 by an ulp; the blocked scan counts exactly those of np.abs
+    grid = moments.nyquist_grid(HYPER, 4, 2, 4)
+    mags = np.abs(_field(HYPER, ones_sequence(2, 4), grid))
+    scan = moments.scan_field(
+        HYPER, ones_sequence(2, 4), grid, p_values=(), lambdas=(27.0,)
+    )
+    assert scan.levels == [(27.0, np.count_nonzero(mags >= 27.0) / mags.size)]
 
 
 def test_level_set_scaling_proxy():

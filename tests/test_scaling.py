@@ -63,6 +63,9 @@ def test_budgeted_grid_sizes():
     assert budgeted_grid_sizes(LINE, 8, 1, 4.0, 8, 50) == (2, 17)
     with pytest.raises(ValueError, match="cannot fit"):
         budgeted_grid_sizes(LINE, 8, 1, 4.0, 8, 16)
+    for p in (-2.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            budgeted_grid_sizes(LINE, 8, 1, p, 8, 10**6)
 
 
 def test_extremizer_experiment_exact_counts():
