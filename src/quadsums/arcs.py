@@ -130,56 +130,44 @@ def divisor_moment(X: int, Q: int, B: int) -> int:
 def rational_approximation(alpha: float, q_max: int) -> tuple[int, int, float]:
     """Best fraction a/q with 1 <= q <= q_max minimizing |alpha - a/q|.
 
-    Candidates are the continued-fraction convergents and all intermediate
-    fractions with admissible denominator; ties resolve to the smaller q.
-    Returns (a, q, |alpha - a/q|).
+    By the best-approximation theorem for continued fractions only two
+    fractions compete: the last convergent h_k/k_k with k_k <= q_max, and the
+    semiconvergent (h_{k-1} + t h_k)/(k_{k-1} + t k_k) with the largest
+    admissible t = floor((q_max - k_{k-1}) / k_k), when t >= 1. They are
+    compared by (float error, q), so a tie resolves to the smaller q. Both are
+    reduced, as h_k k_{k-1} - h_{k-1} k_k = +-1. A remainder below 1e-14 ends
+    the expansion (the next partial quotient is taken as infinite), as does a
+    cap of 64 steps. Returns (a, q, |alpha - a/q|).
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     x = float(alpha)
     if not np.isfinite(x):
         raise ValueError("alpha must be finite")
-    candidates: list[tuple[int, int]] = []
-    h_prev2, k_prev2 = 1, 0
-    h_prev, k_prev = floor(x), 1
-    candidates.append((h_prev, k_prev))
+    h_prev, k_prev = 1, 0
+    h, k = floor(x), 1
     frac = x - floor(x)
     for _ in range(64):
-        if k_prev > q_max:
-            break
         if frac < 1e-14:
-            # terminal step: treat the next partial quotient as infinite
-            t_max = (q_max - k_prev2) // k_prev
-            for t in range(1, t_max + 1):
-                candidates.append((h_prev2 + t * h_prev, k_prev2 + t * k_prev))
             break
         a_n = floor(1.0 / frac)
-        t_cap = (q_max - k_prev2) // k_prev
-        for t in range(1, min(a_n, t_cap) + 1):
-            candidates.append((h_prev2 + t * h_prev, k_prev2 + t * k_prev))
-        h_prev2, h_prev = h_prev, a_n * h_prev + h_prev2
-        k_prev2, k_prev = k_prev, a_n * k_prev + k_prev2
+        if a_n * k + k_prev > q_max:
+            break
+        h_prev, h = h, a_n * h + h_prev
+        k_prev, k = k, a_n * k + k_prev
         frac = 1.0 / frac - a_n
-    best = min(
-        ((abs(x - a / q), q, a) for a, q in candidates if 1 <= q <= q_max),
-        key=lambda item: (item[0], item[1]),
-    )
-    err, q, a = best
-    g = gcd(a, q)
-    return a // g, q // g, err
+    a, q, err = h, k, abs(x - h / k)
+    t = (q_max - k_prev) // k
+    if t >= 1:
+        a_t, q_t = h_prev + t * h, k_prev + t * k
+        err_t = abs(x - a_t / q_t)
+        if err_t < err:  # q_t >= k, so a tie keeps the convergent
+            a, q, err = a_t, q_t, err_t
+    return a, q, err
 
 
 # ---------------------------------------------------------------------------
 # the mollifier family
-
-def _dyadic_values(limit: int) -> tuple[int, ...]:
-    out = []
-    Q = 1
-    while Q <= limit:
-        out.append(Q)
-        Q *= 2
-    return tuple(out)
-
 
 def dvp_window(t: float, B: float) -> float:
     """Trapezoid 1 on [-B, B], linear to 0 at +-2B (de la Vallee Poussin)."""
@@ -223,7 +211,7 @@ class MollifierFamily:
         self.N1 = int(floor(c1 * N))
         self.s_max = int(floor(log2(N))) if N > 1 else 0
         self.N_tilde = 2**self.s_max
-        self.dyadic_Q = _dyadic_values(self.N1)
+        self.dyadic_Q = tuple(1 << k for k in range(self.N1.bit_length()))
         self._fractions = self._enumerate_fractions()
         self._assert_disjoint()
         self._totients = {

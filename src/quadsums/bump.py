@@ -67,9 +67,6 @@ class SmoothBump:
     level instance is shared by the weight (eta) and the mollifier (kappa).
     """
 
-    support = 2.0
-    flat = 1.0
-
     def __init__(self):
         self._ft_cache: dict[float, float] = {}
 

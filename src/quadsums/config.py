@@ -16,14 +16,6 @@ def _to_int(text: str) -> int:
     return int(text, 0)
 
 
-def _to_float(text: str) -> float:
-    return float(text)
-
-
-def _to_str(text: str) -> str:
-    return text
-
-
 def _to_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip() != "")
 
@@ -32,30 +24,26 @@ def _to_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip() != "")
 
 
-def _to_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 # config key -> (RunConfig field, converter)
 KNOWN_KEYS = {
-    "form": ("form", _to_str),
-    "family": ("family", _to_str),
+    "form": ("form", str),
+    "family": ("family", str),
     "seed": ("seed", _to_int),
     "s": ("s", _to_int),
     "N": ("N", _to_int),
     "N_list": ("N_list", _to_int_list),
-    "p": ("p", _to_float),
-    "C": ("C", _to_float),
-    "c1": ("c1", _to_fraction),
-    "grid.policy": ("grid_policy", _to_str),
+    "p": ("p", float),
+    "C": ("C", float),
+    "c1": ("c1", Fraction),
+    "grid.policy": ("grid_policy", str),
     "grid.max_cells": ("max_cells", _to_int),
     "grid.m_alpha": ("m_alpha", _to_int),
     "grid.m_theta": ("m_theta", _to_int),
     "offsets": ("offsets", _to_int),
     "levels": ("levels", _to_int),
     "lambdas": ("lambdas", _to_float_list),
-    "measure": ("measure", _to_str),
-    "tolerance.slope": ("slope_tol", _to_float),
+    "measure": ("measure", str),
+    "tolerance.slope": ("slope_tol", float),
     "samples": ("samples", _to_int),
     "Q": ("Q", _to_int),
     "q_max": ("q_max", _to_int),
@@ -63,8 +51,8 @@ KNOWN_KEYS = {
     "count": ("count", _to_int),
     "a": ("a", _to_int),
     "q": ("q", _to_int),
-    "out.csv": ("out_csv", _to_str),
-    "out.json": ("out_json", _to_str),
+    "out.csv": ("out_csv", str),
+    "out.json": ("out_json", str),
 }
 
 

@@ -283,20 +283,17 @@ def gauss_sum_table(
     return np.fft.ifftn(x) * float(q**d)
 
 
-def _composite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule of `order` per piece on [-2,-1], [-1,1], [1,2]."""
+@functools.lru_cache(maxsize=64)
+def _cached_composite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule of `order` per piece on [-2,-1], [-1,1], [1,2],
+    as read-only arrays."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     xs, ws = [], []
     for lo, hi in ((-2.0, -1.0), (-1.0, 1.0), (1.0, 2.0)):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         xs.append(mid + half * nodes)
         ws.append(half * weights)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_composite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _composite_rule(order)
+    x, w = np.concatenate(xs), np.concatenate(ws)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

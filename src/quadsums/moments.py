@@ -319,22 +319,22 @@ def scan_field(
     )
 
 
-def layer_cake_moment(
-    form: QuadraticForm, source, grid: TorusGrid, p, n_levels: int = 2048
-) -> float:
+# Levels of the layer-cake Riemann sum, evenly spaced on [0, sup|F|).
+_LAYER_CAKE_LEVELS = 2048
+
+
+def layer_cake_moment(form: QuadraticForm, source, grid: TorusGrid, p) -> float:
     """Riemann sum p * sum lam^{p-1} |E_lam| dlam over [0, sup|F|] on `grid`.
 
     Discretizes the layer-cake identity int |F|^p = p int lam^{p-1}|E_lam| dlam
     in two scans: one for sup|F|, one for the level measures. Agreement with
     the scanned moment is a consistency check, not an exact identity.
     """
-    if n_levels < 2:
-        raise ValueError("n_levels must be >= 2")
     sup = scan_field(form, source, grid, p_values=()).sup
     if sup == 0.0:
         return 0.0
-    lams = np.linspace(0.0, sup, n_levels + 1)[:-1]
-    dlam = sup / n_levels
+    lams = np.linspace(0.0, sup, _LAYER_CAKE_LEVELS + 1)[:-1]
+    dlam = sup / _LAYER_CAKE_LEVELS
     scan = scan_field(form, source, grid, p_values=(), lambdas=lams)
     meas = np.array([m for _, m in scan.levels])
     return float(np.sum(p * lams ** (p - 1) * meas) * dlam)
@@ -348,7 +348,6 @@ class MomentReport:
     """One (form, sequence, grids, p, C) measurement with provenance."""
 
     form_matrix: tuple
-    dim: int
     N: int
     p: float
     C: float
@@ -440,7 +439,6 @@ def build_report(
     first = grids[0]
     return MomentReport(
         form_matrix=form.matrix,
-        dim=seq.dim,
         N=N,
         p=p,
         C=C,

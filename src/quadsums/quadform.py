@@ -58,7 +58,7 @@ class QuadraticForm:
             raise ValueError(
                 f"form matrix not symmetric: M[{i},{j}]={a} but M[{j},{i}]={b}"
             )
-        if _det_int(rows) == 0:
+        if _charpoly_int(rows)[-1] == 0:  # (-1)^d det M
             raise ValueError("form matrix is degenerate (determinant zero)")
         object.__setattr__(self, "matrix", tuple(tuple(r) for r in rows))
         object.__setattr__(self, "dim", d)
@@ -127,29 +127,6 @@ def evaluate(form: QuadraticForm, n: Sequence[int]) -> int:
         raise ValueError(f"expected a length-{form.dim} vector, got {len(v)}")
     M = form.matrix
     return sum(M[i][j] * v[i] * v[j] for i in range(form.dim) for j in range(form.dim))
-
-
-def _det_int(rows: list[list[int]]) -> int:
-    """Exact determinant by Bareiss elimination."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _mat_mul(a, b):
@@ -262,23 +239,22 @@ def signature(form: QuadraticForm) -> tuple[int, int, int]:
     return pos, neg, min(pos, neg)
 
 
-def _charpoly_int(form: QuadraticForm) -> list[int]:
-    """Coefficients of det(x I - M), highest degree first (Faddeev-LeVerrier)."""
-    d = form.dim
-    M = [[Fraction(v) for v in row] for row in form.matrix]
-    coeffs = [Fraction(1)]
-    Mk = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+def _charpoly_int(matrix) -> list[int]:
+    """Coefficients of det(x I - M), highest degree first, by Faddeev-LeVerrier
+    in integers (each trace is divisible by its k); the last coefficient is
+    (-1)^d det M."""
+    d = len(matrix)
+    coeffs = [1]
+    Mk = [[int(i == j) for j in range(d)] for i in range(d)]
     for k in range(1, d + 1):
-        Mk = _mat_mul(M, Mk)
-        c = -sum(Mk[i][i] for i in range(d)) / k
+        Mk = _mat_mul(matrix, Mk)
+        trace = sum(Mk[i][i] for i in range(d))
+        assert trace % k == 0
+        c = -(trace // k)
         coeffs.append(c)
         for i in range(d):
             Mk[i][i] += c
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return out
+    return coeffs
 
 
 def signature_by_charpoly(form: QuadraticForm) -> tuple[int, int, int]:
@@ -289,7 +265,7 @@ def signature_by_charpoly(form: QuadraticForm) -> tuple[int, int, int]:
         signs = [1 if c > 0 else -1 for c in seq if c != 0]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-    coeffs = _charpoly_int(form)
+    coeffs = _charpoly_int(form.matrix)
     pos = variations(coeffs)
     neg_coeffs = [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]
     neg = variations(neg_coeffs)

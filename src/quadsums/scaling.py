@@ -52,6 +52,8 @@ class TheoryExponents:
 
 
 def theory_exponents(form: QuadraticForm, p: float) -> TheoryExponents:
+    if not np.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     d = form.dim
@@ -94,8 +96,12 @@ class ScalingExperiment:
             raise ValueError(
                 f"unknown grid policy {self.grid_policy!r}, expected {GRID_POLICIES}"
             )
+        if not np.isfinite(self.p):
+            raise ValueError("p must be finite")
         if self.p < 2:
             raise ValueError("p must be >= 2")
+        if not np.isfinite(self.C):
+            raise ValueError("C must be finite")
         if self.C <= 0:
             raise ValueError("C must be positive")
         if self.offsets < 1:

@@ -140,10 +140,6 @@ def _product_sequence(
     )
 
 
-def _box_values(dim: int, radius: int) -> np.ndarray:
-    return np.zeros((2 * radius + 1,) * dim, dtype=np.complex128)
-
-
 def ones_sequence(dim: int, radius: int) -> CoefficientSequence:
     return _product_sequence((np.ones(2 * radius + 1),) * dim, "ones")
 
@@ -165,7 +161,7 @@ def diagonal_extremizer(dim: int, radius: int, s: int) -> CoefficientSequence:
         raise ValueError(f"need 1 <= s <= dim/2, got s={s}, dim={dim}")
     if radius < 1:
         raise ValueError("radius must be >= 1 for the extremizer")
-    vals = _box_values(dim, radius)
+    vals = np.zeros((2 * radius + 1,) * dim, dtype=np.complex128)
     for n in range(1, radius + 1):
         idx = [radius] * dim
         for i in range(s):

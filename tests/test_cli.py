@@ -110,6 +110,17 @@ def test_nonpositive_p_budgeted_exits_2():
     assert "p must be positive and finite" in err
 
 
+def test_scaling_nonfinite_p_or_C_exits_2():
+    base = ["scaling", "--form", "diag:1,-1", "--family", "ones",
+            "--N-list", "2,3,4"]
+    for flag, value in (("--C", "nan"), ("--C", "inf"),
+                        ("--p", "nan"), ("--p", "inf")):
+        code, out, err = _run([*base, flag, value])
+        assert code == 2 and out == ""
+        assert f"{flag[2:]} must be finite" in err
+        assert "failed:" not in err
+
+
 def test_short_N_list_exits_2():
     code, _, err = _run(["scaling", "--form", "diag:1,-1", "--N-list", "2,4"])
     assert code == 2

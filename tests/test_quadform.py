@@ -1,5 +1,6 @@
 """Integer quadratic form arithmetic, diagonalization, and signatures."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +45,51 @@ def test_validation_errors():
         QuadraticForm(np.array([[1, 1], [1, 1]]))
     with pytest.raises(ValueError, match="degenerate"):
         QuadraticForm(np.zeros((2, 2), dtype=int))
+
+
+def _leibniz_det(rows):
+    # sum over permutations of sign(perm) * prod_i M[i][perm(i)]
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(
+            1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+            if perm[i] > perm[j]
+        )
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_degenerate_exactly_when_determinant_zero():
+    rng = np.random.default_rng(53)
+    seen_singular = 0
+    for trial in range(600):
+        dim = 1 + trial % 4
+        upper = rng.integers(-3, 4, size=(dim, dim))
+        m = np.triu(upper) + np.triu(upper, 1).T
+        if dim >= 2 and trial % 3 == 1:
+            # a repeated row (and column, to stay symmetric)
+            i, j = rng.choice(dim, size=2, replace=False)
+            m[j, :] = m[i, :]
+            m[:, j] = m[:, i]
+        elif dim >= 3 and trial % 3 == 2:
+            # a row that is the sum of two others, by congruence so M stays
+            # symmetric: M <- E M E^T with E adding rows i and j into row k
+            i, j, k = rng.choice(dim, size=3, replace=False)
+            e = np.eye(dim, dtype=np.int64)
+            e[k, :] = e[i, :] + e[j, :]
+            m = e @ m @ e.T
+        rows = [[int(v) for v in row] for row in m]
+        det = _leibniz_det(rows)
+        if det == 0:
+            seen_singular += 1
+            with pytest.raises(ValueError, match="degenerate"):
+                QuadraticForm(rows)
+        else:
+            assert QuadraticForm(rows).matrix == tuple(map(tuple, rows))
+    assert seen_singular >= 150
 
 
 def test_signature_examples():

@@ -29,6 +29,9 @@ def test_theory_exponent_goldens():
     assert (t.critical_p, t.critical_p_ds) == (6.0, 6.0)
     with pytest.raises(ValueError):
         theory_exponents(HYPER, 1.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="p must be finite"):
+            theory_exponents(HYPER, bad)
 
 
 def test_experiment_validation():
@@ -48,6 +51,12 @@ def test_experiment_validation():
         ScalingExperiment(HYPER, "ones", (2, 4, 8), C=0.0)
     with pytest.raises(ValueError):
         ScalingExperiment(HYPER, "ones", (2, 4, 8), offsets=0)
+    # NaN fails every ordered comparison, so finiteness is checked first
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="p must be finite"):
+            ScalingExperiment(HYPER, "ones", (2, 4, 8), p=bad)
+        with pytest.raises(ValueError, match="C must be finite"):
+            ScalingExperiment(HYPER, "ones", (2, 4, 8), C=bad)
 
 
 def test_budgeted_grid_sizes():
