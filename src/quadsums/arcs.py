@@ -18,10 +18,11 @@ and q, q' < 2 N1 <= N/8).
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, log2
+from math import floor, gcd, isfinite, log2
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -214,6 +215,7 @@ class MollifierFamily:
         self.dyadic_Q = tuple(1 << k for k in range(self.N1.bit_length()))
         self._fractions = self._enumerate_fractions()
         self._assert_disjoint()
+        self._centres = [a / q for _, a, q, _ in self._fractions]
         self._totients = {
             Q: sum(_totient(q) for q in range(Q, 2 * Q)) for Q in self.dyadic_Q
         }
@@ -303,16 +305,20 @@ class MollifierFamily:
             x += 1.0
         return x
 
-    def nearest_fraction(self, x: float, Q: int) -> tuple[int, int] | None:
-        """The unique a/q with q ~ Q whose bump can be live at folded x, or None.
+    def _holder(self, x: float) -> tuple[int, int, int] | None:
+        """(a, q, Q) of the fraction whose support a/q +- 2/(QN) holds folded
+        x, or None.
 
-        Support disjointness makes the best approximation with q < 2Q the only
-        candidate: any second fraction within its own support width would
-        overlap it. So one continued-fraction lookup suffices.
+        The supports are disjoint, so a support that reached x past a nearer
+        centre would hold that centre too: only the two centres around x can
+        hold it, and one does when |t| < 2 for t = QN(x - a/q).
         """
-        a, q, _ = rational_approximation(x, 2 * Q - 1)
-        if Q <= q < 2 * Q:
-            return a, q
+        if not isfinite(x):
+            raise ValueError("alpha must be finite")
+        i = bisect.bisect(self._centres, x)
+        for _, a, q, Q in self._fractions[max(i - 1, 0) : i + 1]:
+            if abs(Q * self.N * (x - a / q)) < 2:
+                return a, q, Q
         return None
 
     def phi_s(self, s: int, x):
@@ -330,22 +336,21 @@ class MollifierFamily:
         """Phi_{Q,s}(alpha) = sum over fractions q ~ Q of phi_s(alpha - a/q)."""
         self._check_block(Q, s)
         x = self.fold(alpha)
-        hit = self.nearest_fraction(x, Q)
-        if hit is None:
+        hit = self._holder(x)
+        if hit is None or hit[2] != Q:
             return 0.0
-        a, q = hit
+        a, q, _ = hit
         return float(self.phi_s(s, x - a / q))
 
     def lambda_rho(self, alpha: float) -> tuple[float, float]:
         """(lambda, rho) at alpha via the collapsed telescoped form
-        lambda = sum_Q kappa(Q N (alpha - a/q)) over live fractions."""
+        lambda = kappa(Q N (alpha - a/q)) at the one fraction holding alpha."""
         x = self.fold(alpha)
-        lam = 0.0
-        for Q in self.dyadic_Q:
-            hit = self.nearest_fraction(x, Q)
-            if hit is not None:
-                a, q = hit
-                lam += float(bump(Q * self.N * (x - a / q)))
+        hit = self._holder(x)
+        if hit is None:
+            return 0.0, 1.0
+        a, q, Q = hit
+        lam = float(bump(Q * self.N * (x - a / q)))
         return lam, 1.0 - lam
 
     def rho_values(self, alphas: Iterable[float]) -> np.ndarray:
@@ -413,14 +418,17 @@ class MollifierFamily:
     # -- arc classification
 
     def classify_arc(self, alpha: float) -> ArcLabel:
-        """Major iff some a/q with q <= N1 has |alpha - a/q| <= c1/(qN)."""
-        if self.N1 < 1:
-            return ArcLabel("minor")
+        """Major iff some a/q with q <= N1 has |alpha - a/q| <= c1/(qN).
+
+        c1/(qN) < 2/(QN), so such an alpha lies in the support of a/q: the
+        fraction holding alpha is the only one to test.
+        """
         x = self.fold(alpha)
-        a, q, err = rational_approximation(x, self.N1)
-        if err <= float(self.c1) / (q * self.N):
-            Q = 1 << int(log2(q))
-            return ArcLabel("major", a=a, q=q, Q=Q, beta=x - a / q)
+        hit = self._holder(x)
+        if hit is not None:
+            a, q, Q = hit
+            if q <= self.N1 and abs(x - a / q) <= float(self.c1) / (q * self.N):
+                return ArcLabel("major", a=a, q=q, Q=Q, beta=x - a / q)
         return ArcLabel("minor")
 
     # -- arc pieces of a field
@@ -469,8 +477,7 @@ class MollifierFamily:
             raise ValueError(f"l must have length {weight.dim}")
         if any(abs(x) > weight.radius for x in lv):
             return 0.0
-        wseq = expsum._weight_sequence(weight)
-        omega_l = wseq[lv].real
+        omega_l = weight[lv].real
         b_alpha = float(frequency_bound(form, self.N))
         win = dvp_window(m, b_alpha)
         for x in lv:

@@ -120,8 +120,7 @@ def cmd_levelset(cfg: RunConfig) -> int:
     if cfg.lambdas is not None:
         lams = tuple(cfg.lambdas)
     else:
-        bound = (2 * seq.radius + 1) ** (seq.dim / 2.0) * seq.l2_norm
-        lams = tuple(np.linspace(0.0, bound, cfg.levels))
+        lams = tuple(moments.default_levels(seq, cfg.levels))
     scan = moments.scan_field(form, seq, grid, p_values=(), lambdas=lams)
     lines = ["lambda,measure"]
     for lam, meas in scan.levels:

@@ -15,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import ceil, gcd, prod
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,25 +39,12 @@ __all__ = [
 #: Gauss-Legendre nodes per piece, the floor of every per-axis quadrature order
 QUAD_ORDER = 8
 
-Source = Union[CoefficientSequence, SmoothWeight]
-
 
 @functools.lru_cache(maxsize=64)
 def _r_grid(form: QuadraticForm, radius: int) -> np.ndarray:
     out = form.values_on_grid(radius)
     out.setflags(write=False)
     return out
-
-
-@functools.lru_cache(maxsize=16)
-def _weight_sequence(weight: SmoothWeight) -> CoefficientSequence:
-    return weight.as_sequence()
-
-
-def _as_sequence(source: Source) -> CoefficientSequence:
-    if isinstance(source, SmoothWeight):
-        return _weight_sequence(source)
-    return source
 
 
 @dataclass(frozen=True)
@@ -114,23 +101,25 @@ class TorusGrid:
 
 
 def extension_direct(
-    form: QuadraticForm, source: Source, alpha: float, theta: Sequence[float]
+    form: QuadraticForm,
+    source: CoefficientSequence,
+    alpha: float,
+    theta: Sequence[float],
 ) -> complex:
     """Direct summation of F(alpha, theta).
 
     Terms are laid out in lexicographic n order and reduced by numpy's
     pairwise summation, so results are bit-reproducible across runs.
     """
-    seq = _as_sequence(source)
     th = np.asarray(theta, dtype=float)
-    if th.shape != (seq.dim,):
-        raise ValueError(f"theta must have length {seq.dim}")
-    R = _r_grid(form, seq.radius).astype(float)
+    if th.shape != (source.dim,):
+        raise ValueError(f"theta must have length {source.dim}")
+    R = _r_grid(form, source.radius).astype(float)
     phase = float(alpha) * R
-    for i, grid_i in enumerate(seq.coordinate_grids()):
+    for i, grid_i in enumerate(source.coordinate_grids()):
         if th[i] != 0.0:
             phase = phase + th[i] * grid_i
-    terms = seq.values * np.exp(2j * np.pi * phase)
+    terms = source.values * np.exp(2j * np.pi * phase)
     return complex(np.sum(terms))
 
 
@@ -143,7 +132,7 @@ def smoothed_sum_direct(
 
 def iter_field_chunks(
     form: QuadraticForm,
-    source: Source,
+    source: CoefficientSequence,
     grid: TorusGrid,
     chunk: int | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -156,8 +145,7 @@ def iter_field_chunks(
     `factors` a_i has d 1-D boxes (c_i n^2, a_i), since then
     F = prod_i f_i(c_i alpha, theta_i).
     """
-    seq = _as_sequence(source)
-    d, r, m, m_alpha = seq.dim, seq.radius, grid.m_theta, grid.m_alpha
+    d, r, m, m_alpha = source.dim, source.radius, grid.m_theta, grid.m_alpha
     if grid.dim != d:
         raise ValueError("grid dim does not match the sequence dim")
     if m < 2 * r + 1:
@@ -169,14 +157,14 @@ def iter_field_chunks(
         chunk = max(1, int(2**21 // max(m**d, 1)))
     roots = np.exp(2j * np.pi * np.arange(m_alpha) / m_alpha)
     o = grid.offset
-    if seq.factors is not None and form.is_diagonal():
+    if source.factors is not None and form.is_diagonal():
         n = np.arange(-r, r + 1, dtype=np.int64)
         boxes = [
             _twisted_box(form.matrix[i][i] * n * n, a_i, (o[0], o[1 + i]), m_alpha)
-            for i, a_i in enumerate(seq.factors)
+            for i, a_i in enumerate(source.factors)
         ]
     else:
-        boxes = [_twisted_box(_r_grid(form, r), seq.values, o, m_alpha)]
+        boxes = [_twisted_box(_r_grid(form, r), source.values, o, m_alpha)]
     for start in range(0, m_alpha, chunk):
         k = np.arange(start, min(start + chunk, m_alpha), dtype=np.int64)
         parts = []
@@ -235,6 +223,15 @@ def _residue_r_mod(form: QuadraticForm, q: int) -> np.ndarray:
     return form.values_on([np.arange(q, dtype=np.int64)] * form.dim) % q
 
 
+def _check_complete_sum(form: QuadraticForm, a: int, q: int, max_terms: int) -> None:
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if gcd(a, q) != 1:
+        raise ValueError(f"need gcd(a, q) = 1, got a={a}, q={q}")
+    if q**form.dim > max_terms:
+        raise ValueError(f"q^d = {q**form.dim} exceeds max_terms={max_terms}")
+
+
 def gauss_sum(
     form: QuadraticForm, a: int, b: Sequence[int], q: int, max_terms: int = 2**22
 ) -> complex:
@@ -247,12 +244,7 @@ def gauss_sum(
     bv = [int(x) for x in b]
     if len(bv) != d:
         raise ValueError(f"b must have length {d}")
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if gcd(a, q) != 1:
-        raise ValueError(f"need gcd(a, q) = 1, got a={a}, q={q}")
-    if q**d > max_terms:
-        raise ValueError(f"q^d = {q**d} exceeds max_terms={max_terms}")
+    _check_complete_sum(form, a, q, max_terms)
     phases = (int(a) % q) * _residue_r_mod(form, q)
     coords = np.arange(q, dtype=np.int64)
     grids = np.meshgrid(*([coords] * d), indexing="ij")
@@ -271,16 +263,10 @@ def gauss_sum_table(
     The table is the inverse FFT of e_q(a R(u)) scaled by q^d, exploiting
     S(a, b; q) = sum_u e_q(a R(u)) e_q(b . u).
     """
-    d = form.dim
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if gcd(a, q) != 1:
-        raise ValueError(f"need gcd(a, q) = 1, got a={a}, q={q}")
-    if q**d > max_terms:
-        raise ValueError(f"q^d = {q**d} exceeds max_terms={max_terms}")
+    _check_complete_sum(form, a, q, max_terms)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     x = roots[(int(a) % q) * _residue_r_mod(form, q) % q]
-    return np.fft.ifftn(x) * float(q**d)
+    return np.fft.ifftn(x) * float(q**form.dim)
 
 
 @functools.lru_cache(maxsize=64)

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .quadform import QuadraticForm, frequency_bound
-from .expsum import TorusGrid, iter_field_chunks, _as_sequence
+from .expsum import TorusGrid, iter_field_chunks
 from .sequences import CoefficientSequence, SmoothWeight
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "scan_field",
     "layer_cake_moment",
     "build_report",
+    "default_levels",
     "report_csv_header",
     "report_csv_row",
 ]
@@ -86,15 +87,14 @@ def even_moment_exact(
     """
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
-    seq = _as_sequence(source)
     k = p // 2
-    a_nz, coords, r_nz = _support(form, seq)
+    a_nz, coords, r_nz = _support(form, source)
     if a_nz.size == 0:
         return 0.0
     rmin, rmax = int(r_nz.min()), int(r_nz.max())
     span_r = rmax - rmin
-    width = 2 * seq.radius  # per-axis coordinate range of one point
-    final_shape = (k * span_r + 1,) + (k * width + 1,) * seq.dim
+    width = 2 * source.radius  # per-axis coordinate range of one point
+    final_shape = (k * span_r + 1,) + (k * width + 1,) * source.dim
     total = int(np.prod([np.int64(s) for s in final_shape]))
     if total > max_entries:
         raise ValueError(
@@ -102,7 +102,7 @@ def even_moment_exact(
             f"{max_entries}; use the grid method (scan_field)"
         )
     point_keys = (r_nz - rmin).astype(np.int64)
-    for axis in range(seq.dim):
+    for axis in range(source.dim):
         point_keys = point_keys * final_shape[1 + axis] + coords[axis]
     order = np.argsort(point_keys)
     point_keys, a_nz = point_keys[order], a_nz[order]
@@ -181,12 +181,11 @@ def representation_count(form: QuadraticForm, source, p: int) -> RepresentationC
     refers to the support indicator and `weighted` is set. The indicator takes
     the oracle's counting path, so the count is summed in integers.
     """
-    seq = _as_sequence(source)
-    vals = seq.values.ravel()
+    vals = source.values.ravel()
     nz = vals[vals != 0]
     weighted = bool(np.any(nz != 1.0))
     indicator = CoefficientSequence(
-        seq.dim, seq.radius, (seq.values != 0).astype(np.complex128)
+        source.dim, source.radius, (source.values != 0).astype(np.complex128)
     )
     # a module-global lookup, so a replaced moments.even_moment_exact is used
     moment = even_moment_exact(form, indicator, p)
@@ -407,13 +406,11 @@ def build_report(
         raise ValueError("C must be finite")
     if C <= 0:
         raise ValueError("C must be positive")
-    seq = _as_sequence(source)
-    N = source.N if isinstance(source, SmoothWeight) else seq.radius
-    norm_a = seq.l2_norm
-    threshold = C * float(N) ** (seq.dim / 4.0) * norm_a
+    N = source.N if isinstance(source, SmoothWeight) else source.radius
+    norm_a = source.l2_norm
+    threshold = C * float(N) ** (source.dim / 4.0) * norm_a
     if lambdas is None:
-        bound = (2 * seq.radius + 1) ** (seq.dim / 2.0) * norm_a
-        lambdas = np.linspace(0.0, bound, 17)
+        lambdas = default_levels(source, 17)
     fulls, truncs, sups = [], [], []
     level_acc = np.zeros(len(lambdas))
     for grid in grids:
@@ -462,6 +459,13 @@ def build_report(
         oracle_full=oracle_val,
         grid_full=grid_full,
     )
+
+
+def default_levels(source: CoefficientSequence, count: int) -> np.ndarray:
+    """`count` rungs evenly spaced on [0, (2r+1)^{d/2} ||a||_2]: the top is the
+    Cauchy-Schwarz bound on sup|F|, with (2r+1)^d terms."""
+    bound = (2 * source.radius + 1) ** (source.dim / 2.0) * source.l2_norm
+    return np.linspace(0.0, bound, count)
 
 
 _CSV_FIELDS = [

@@ -106,12 +106,6 @@ class RationalDiagonalization:
     transform: tuple[tuple[int, ...], ...]
     coeffs: tuple[Fraction, ...]
 
-    def apply(self, v: Sequence[int]) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(sum(r * int(x) for r, x in zip(row, v)))
-            for row in self.transform
-        )
-
     def evaluate(self, v: Sequence[int]) -> Fraction:
         w = [sum(r * int(x) for r, x in zip(row, v)) for row in self.transform]
         return sum(

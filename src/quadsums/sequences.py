@@ -1,8 +1,9 @@
 """Coefficient sequences on integer boxes and the smooth counting weight.
 
 A CoefficientSequence holds complex values a(n) for n in [-radius, radius]^d.
-A SmoothWeight is the sequence omega(n) = eta(n/N) with eta the tensor power
-of the shared smooth cutoff: omega = 1 on [-N,N]^d, supported in (-2N, 2N)^d.
+A SmoothWeight is the product sequence omega(n) = eta(n/N) with eta the
+tensor power of the shared smooth cutoff: omega = 1 on [-N,N]^d, supported in
+(-2N, 2N)^d.
 A sequence may declare itself a product a(n) = prod_i a_i(n_i) through
 `factors`; the declaration is checked exactly against the values.
 """
@@ -106,28 +107,29 @@ class CoefficientSequence:
         return complex(self.values[idx])
 
 
-@dataclass(frozen=True)
-class SmoothWeight:
-    """omega(n) = prod_i eta1(n_i / N); support radius 2N-1."""
+class SmoothWeight(CoefficientSequence):
+    """omega(n) = prod_i eta1(n_i / N): the product sequence of radius 2N-1
+    whose factors are the 1-d profile, declared at construction."""
 
-    dim: int
-    N: int
-
-    def __post_init__(self):
-        if self.dim < 1 or self.N < 1:
+    def __init__(self, dim: int, N: int):
+        if dim < 1 or N < 1:
             raise ValueError("dim and N must be positive")
+        factors = (bump(np.arange(1 - 2 * N, 2 * N) / N),) * dim
+        super().__init__(dim, 2 * N - 1, _outer_product(factors), "weight", factors)
+
+    def __repr__(self) -> str:
+        return f"SmoothWeight(dim={self.dim}, N={self.N})"
 
     @property
-    def radius(self) -> int:
-        return 2 * self.N - 1
+    def N(self) -> int:
+        return (self.radius + 1) // 2
 
     def profile(self) -> np.ndarray:
-        """1-d weight values eta1(n/N) for n in [-(2N-1), 2N-1]."""
-        n = np.arange(-self.radius, self.radius + 1)
-        return bump(n / self.N)
+        """1-d weight values eta1(n/N) for n in [-(2N-1), 2N-1], as float64."""
+        return self.factors[0].real.copy()
 
-    def as_sequence(self) -> CoefficientSequence:
-        return _product_sequence((self.profile(),) * self.dim, "weight")
+    def as_sequence(self) -> "SmoothWeight":
+        return self
 
 
 def _product_sequence(

@@ -22,6 +22,7 @@ from quadsums import (
     rational_approximation,
     truncated_divisor,
 )
+from quadsums.bump import bump
 
 HYPER = parse_form_spec("diag:1,-1")
 LINE = parse_form_spec("diag:1")
@@ -286,6 +287,57 @@ def test_Phi_Qs_matches_literal_sum():
                 if QQ == Q
             )
             assert abs(fam.Phi_Qs(Q, s, alpha) - literal) <= 1e-14
+    # every support edge (just inside and on it), the transition band where
+    # kappa is small but nonzero, every centre and both ends of the fold
+    # window, against the literal sums over all fractions and their copies
+    # a/q +- 1, and classify_arc against brute force
+    families = [MollifierFamily(N) for N in (16, 48, 256)]
+    families.append(MollifierFamily(64, c1=Fraction(1, 32)))
+    for fam in families:
+        N, N1, c1 = fam.N, fam.N1, float(fam.c1)
+        centres = np.array([a / q for _, a, q, _ in fam._fractions])
+        Qs = np.array([Q for *_, Q in fam._fractions])
+        alphas = [np.nextafter(1 / (2 * N1), 1.0), 1 + 1 / (2 * N1)]
+        for c, Q in zip(centres, Qs):
+            alphas.append(c)
+            for t in (1.5, 1.99, 2 - 2.0**-40, 2.0):
+                alphas += [c - t / (Q * N), c + t / (Q * N)]
+        x = np.array([fam.fold(float(alpha)) for alpha in alphas])
+        assert np.all((1 / (2 * N1) < x) & (x <= 1 + 1 / (2 * N1)))
+        literal = sum(
+            bump(Qs * N * (x[:, None] - centres - k)).sum(axis=1) for k in (-1, 0, 1)
+        )
+        for alpha, lam_lit in zip(alphas, literal):
+            lam, rho = fam.lambda_rho(float(alpha))
+            assert abs(lam - lam_lit) <= 1e-15 and lam + rho == 1.0
+        for Q, s in fam.index_pairs():
+            on_q = Qs == Q
+            block = fam.phi_s(s, x[:, None] - centres[on_q]).sum(axis=1)
+            got = [fam.Phi_Qs(Q, s, float(alpha)) for alpha in alphas]
+            assert np.abs(np.array(got) - block).max() <= 1e-15
+        for alpha, xx in zip(alphas, x):
+            lab = fam.classify_arc(float(alpha))
+            near = [
+                Fraction(round(xx * q), q)
+                for q in range(1, N1 + 1)
+                if abs(xx - round(xx * q) / q) <= c1 / (q * N)
+            ]
+            assert lab.is_major == bool(near)
+            if near:
+                assert Fraction(lab.a, lab.q) == near[0] and lab.q <= N1
+                assert lab.beta == xx - lab.a / lab.q
+                assert lab.Q <= lab.q < 2 * lab.Q
+    bare = MollifierFamily(8)
+    assert bare.N1 == 0
+    for alpha in (0.0, 0.5, 1.0, 1 / 3, -0.25, 1e-9, 0.999):
+        assert bare.classify_arc(alpha) == ArcLabel("minor")
+        assert bare.lambda_rho(alpha) == (0.0, 1.0)
+    for fam in (families[0], bare):
+        for alpha in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                fam.classify_arc(alpha)
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                fam.lambda_rho(alpha)
 
 
 def test_partition_of_unity():

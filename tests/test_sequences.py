@@ -17,6 +17,10 @@ from quadsums import (
     save_sequence,
 )
 from quadsums.bump import bump
+from quadsums.expsum import TorusGrid
+from quadsums.moments import build_report
+from quadsums.quadform import parse_form_spec
+from quadsums.sequences import _product_sequence
 
 
 def test_shape_validation():
@@ -98,6 +102,25 @@ def test_smooth_weight_profile():
     assert prof.shape == (2 * w.radius + 1,)
     n = np.arange(-w.radius, w.radius + 1)
     assert np.abs(prof - bump(n / N)).max() == 0.0
+
+
+def test_smooth_weight_is_product_sequence():
+    w = SmoothWeight(2, 3)
+    assert isinstance(w, CoefficientSequence) and w.as_sequence() is w
+    assert (w.dim, w.N, w.radius, w.label) == (2, 3, 5, "weight")
+    # the bits the separate adapter built: the profile's outer product
+    row = bump(np.arange(-5, 6) / 3)
+    old = _product_sequence((row, row), "weight")
+    assert w.values.tobytes() == old.values.tobytes()
+    assert [f.tobytes() for f in w.factors] == [f.tobytes() for f in old.factors]
+    assert w.profile().dtype == np.float64 and w.profile().tobytes() == row.tobytes()
+    # a report on the weight uses its N, not its radius
+    grid = TorusGrid(2, 40, 11, (0.0, 0.0, 0.0))
+    report = build_report(parse_form_spec("diag:1,-1"), w, [grid], 4)
+    assert report.N == 3 and report.json_dict()["N"] == 3
+    assert report.threshold == 3 ** 0.5 * w.l2_norm
+    with pytest.raises(ValueError, match="dim and N must be positive"):
+        SmoothWeight(2, 0)
 
 
 def test_save_load_round_trip():
