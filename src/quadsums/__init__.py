@@ -41,7 +41,6 @@ from .arcs import (
     MollifierFamily,
     ArcLabel,
     DisjointnessError,
-    rational_approximation,
     ramanujan_sum,
     truncated_divisor,
     divisor_moment,

@@ -36,7 +36,6 @@ __all__ = [
     "MollifierFamily",
     "ArcLabel",
     "DisjointnessError",
-    "rational_approximation",
     "ramanujan_sum",
     "truncated_divisor",
     "divisor_moment",
@@ -123,48 +122,6 @@ def divisor_moment(X: int, Q: int, B: int) -> int:
     for c in counts[1:]:
         total += 2 * int(c) ** B
     return total
-
-
-# ---------------------------------------------------------------------------
-# best rational approximation
-
-def rational_approximation(alpha: float, q_max: int) -> tuple[int, int, float]:
-    """Best fraction a/q with 1 <= q <= q_max minimizing |alpha - a/q|.
-
-    By the best-approximation theorem for continued fractions only two
-    fractions compete: the last convergent h_k/k_k with k_k <= q_max, and the
-    semiconvergent (h_{k-1} + t h_k)/(k_{k-1} + t k_k) with the largest
-    admissible t = floor((q_max - k_{k-1}) / k_k), when t >= 1. They are
-    compared by (float error, q), so a tie resolves to the smaller q. Both are
-    reduced, as h_k k_{k-1} - h_{k-1} k_k = +-1. A remainder below 1e-14 ends
-    the expansion (the next partial quotient is taken as infinite), as does a
-    cap of 64 steps. Returns (a, q, |alpha - a/q|).
-    """
-    if q_max < 1:
-        raise ValueError("q_max must be >= 1")
-    x = float(alpha)
-    if not np.isfinite(x):
-        raise ValueError("alpha must be finite")
-    h_prev, k_prev = 1, 0
-    h, k = floor(x), 1
-    frac = x - floor(x)
-    for _ in range(64):
-        if frac < 1e-14:
-            break
-        a_n = floor(1.0 / frac)
-        if a_n * k + k_prev > q_max:
-            break
-        h_prev, h = h, a_n * h + h_prev
-        k_prev, k = k, a_n * k + k_prev
-        frac = 1.0 / frac - a_n
-    a, q, err = h, k, abs(x - h / k)
-    t = (q_max - k_prev) // k
-    if t >= 1:
-        a_t, q_t = h_prev + t * h, k_prev + t * k
-        err_t = abs(x - a_t / q_t)
-        if err_t < err:  # q_t >= k, so a tie keeps the convergent
-            a, q, err = a_t, q_t, err_t
-    return a, q, err
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ normalized integral of the standard mollifier t -> exp(-1/(1-t^2)).
 
 from __future__ import annotations
 
-import functools
+from math import ceil
 
 import numpy as np
 
@@ -18,11 +18,18 @@ _MOLLIFIER_MASS = 0.443993816168079437823048921171
 _GL_ORDER = 96
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
+_PANEL = 32
+_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL)
 
-@functools.lru_cache(maxsize=None)
-def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule of the given order for the Fourier transform."""
-    return np.polynomial.legendre.leggauss(order)
+
+def gauss_panels(lo: float, hi: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ceil(nodes/32) equal 32-node Gauss-Legendre panels
+    on [lo, hi], in increasing order: the one rule of variable size."""
+    k = max(1, ceil(nodes / _PANEL))
+    half = 0.5 * (hi - lo) / k
+    mids = lo + half * (2 * np.arange(k) + 1)
+    x = (mids[:, None] + half * _PANEL_NODES).ravel()
+    return x, np.tile(half * _PANEL_WEIGHTS, k)
 
 
 def _mollifier(t: np.ndarray) -> np.ndarray:
@@ -95,8 +102,8 @@ class SmoothBump:
 
         kappa is real and even, so kappa-hat is real and even: it equals
         2*(int_0^1 cos(2 pi xi x) dx + int_1^2 kappa(x) cos(2 pi xi x) dx),
-        the first term in closed form, the second by Gauss-Legendre with the
-        order scaled to the |xi| cycles crossing the transition interval.
+        the first term in closed form, the second by Gauss-Legendre panels,
+        their number scaled to the |xi| cycles crossing the transition.
         """
         xi = float(abs(xi))
         got = self._ft_cache.get(xi)
@@ -106,12 +113,10 @@ class SmoothBump:
             val = self.mass
         else:
             core = np.sin(2.0 * np.pi * xi) / (np.pi * xi)  # 2*int_0^1 cos(2 pi xi x)
-            # transition piece on [1,2]: |xi| cycles, order grows linearly
-            order = 48 + int(np.ceil(3.5 * xi))
-            nodes, weights = _rule(order)
-            x = 1.5 + 0.5 * nodes
+            # transition piece on [1,2]: |xi| cycles, at least 3 panels
+            x, w = gauss_panels(1.0, 2.0, 80 + ceil(3.5 * xi))
             f = self(x) * np.cos(2.0 * np.pi * xi * x)
-            val = core + 2.0 * 0.5 * float(weights @ f)
+            val = core + 2.0 * float(w @ f)
         self._ft_cache[xi] = val
         return val
 

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bump import bump
+from .bump import bump, gauss_panels
 from .quadform import QuadraticForm
 from .sequences import CoefficientSequence, SmoothWeight
 
@@ -35,10 +35,6 @@ __all__ = [
     "MajorArcApprox",
     "major_arc_approx",
 ]
-
-#: Gauss-Legendre nodes per piece, the floor of every per-axis quadrature order
-QUAD_ORDER = 8
-
 
 @functools.lru_cache(maxsize=64)
 def _r_grid(form: QuadraticForm, radius: int) -> np.ndarray:
@@ -269,20 +265,12 @@ def gauss_sum_table(
     return np.fft.ifftn(x) * float(q**form.dim)
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_composite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule of `order` per piece on [-2,-1], [-1,1], [1,2],
-    as read-only arrays."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    xs, ws = [], []
-    for lo, hi in ((-2.0, -1.0), (-1.0, 1.0), (1.0, 2.0)):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xs.append(mid + half * nodes)
-        ws.append(half * weights)
-    x, w = np.concatenate(xs), np.concatenate(ws)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+def _composite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre panels with `order` nodes on each of [-2,-1], [-1,1] and
+    [1,2], the pieces on which eta has one formula."""
+    pieces = ((-2, -1), (-1, 1), (1, 2))
+    xs, ws = zip(*(gauss_panels(lo, hi, order) for lo, hi in pieces))
+    return np.concatenate(xs), np.concatenate(ws)
 
 
 def _axis_orders(
@@ -291,7 +279,8 @@ def _axis_orders(
     gamma_bound: Sequence[float],
     N: int,
 ) -> list[int]:
-    """Per-axis node counts from the phase bandwidth.
+    """Per-axis node counts per piece from the phase bandwidth, in whole
+    32-node panels.
 
     On [-2,2]^d the phase beta N^2 R(x) + N gamma . x has per-axis frequency
     at most nu_i = |beta| N^2 * 4 sum_j |M_ij| + N |gamma_i| cycles per unit.
@@ -300,8 +289,7 @@ def _axis_orders(
     for i in range(form.dim):
         row = sum(abs(v) for v in form.matrix[i])
         nu = abs(beta) * N * N * 4.0 * row + N * abs(gamma_bound[i])
-        n = max(QUAD_ORDER, int(32 * ceil((4.5 * nu + 24.0) / 32)))
-        orders.append(n)
+        orders.append(int(32 * ceil((4.5 * nu + 24.0) / 32)))
     return orders
 
 
@@ -320,13 +308,13 @@ def _integral_batch(
     if form.is_diagonal():
         out = np.ones(len(gammas), dtype=np.complex128)
         for i in range(d):
-            x, w = _cached_composite_rule(orders[i])
+            x, w = _composite_rule(orders[i])
             ci = form.matrix[i][i]
             f = w * bump(x) * np.exp(2j * np.pi * beta * N * N * ci * x * x)
             phases = np.exp(2j * np.pi * N * np.outer(gammas[:, i], x))
             out *= phases @ f
         return out
-    rules = [_cached_composite_rule(o) for o in orders]
+    rules = [_composite_rule(o) for o in orders]
     total = prod(len(x) for x, _ in rules)
     if total > max_nodes:
         raise ValueError(
@@ -363,15 +351,14 @@ def oscillatory_integral(
     N: int,
 ) -> OscillatoryIntegral:
     """Tensor Gauss-Legendre value of I(beta, gamma; N) with an a-posteriori
-    error estimate (difference against the half-order rule)."""
+    error estimate (difference against the rule of twice the order)."""
     g = np.asarray(gamma, dtype=float)
     if g.shape != (form.dim,):
         raise ValueError(f"gamma must have length {form.dim}")
     orders = _axis_orders(form, beta, np.abs(g), N)
     full = _integral_batch(form, beta, g[None, :], N, orders)[0]
-    halves = [max(QUAD_ORDER, o // 2) for o in orders]
-    half = _integral_batch(form, beta, g[None, :], N, halves)[0]
-    return OscillatoryIntegral(complex(full), abs(full - half), tuple(orders))
+    finer = _integral_batch(form, beta, g[None, :], N, [2 * o for o in orders])[0]
+    return OscillatoryIntegral(complex(full), abs(full - finer), tuple(orders))
 
 
 @dataclass(frozen=True)

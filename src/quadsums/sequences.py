@@ -42,22 +42,21 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSequence:
     """Values a(n) on [-radius, radius]^dim, index n + radius.
 
     `factors`, when given, are dim 1-D arrays of length 2*radius+1 whose outer
     product equals `values` exactly; the field engine then evaluates F as a
-    product of 1-D sums on diagonal forms.
+    product of 1-D sums on diagonal forms. Equality and hashing are by
+    identity, so a sequence can key a dict or sit in a set.
     """
 
     dim: int
     radius: int
     values: np.ndarray = field(repr=False)
     label: str = ""
-    factors: tuple[np.ndarray, ...] | None = field(
-        default=None, repr=False, compare=False
-    )
+    factors: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.dim < 1 or self.radius < 0:

@@ -1,7 +1,7 @@
 """Arithmetic helpers, the arc mollifier family, and its Fourier data."""
 
 from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from quadsums import (
     partition_identity_check,
     ramanujan_sum,
     random_unit_sequence,
-    rational_approximation,
     truncated_divisor,
 )
 from quadsums.bump import bump
@@ -70,96 +69,6 @@ def test_divisor_moment_growth():
         Q = int(2 * X ** (1 / 3))
         v = divisor_moment(X, Q, 3) / (2 * X + 1) / Q**0.2
         assert v <= cap
-
-
-def test_rational_approximation_goldens():
-    a, q, err = rational_approximation(0.5 + 1e-9, 2)
-    assert (a, q) == (1, 2) and abs(err - 1e-9) <= 1e-15
-    a, q, err = rational_approximation(0.6180339887498949, 8)
-    assert (a, q) == (5, 8) and abs(err - 0.0069660112501051) <= 1e-12
-    a, q, err = rational_approximation(1 / 3, 3)
-    assert (a, q) == (1, 3) and err <= 1e-16
-    a, q, err = rational_approximation(2.7, 1)
-    assert (a, q) == (3, 1) and abs(err - 0.3) <= 1e-15
-
-
-def test_rational_approximation_tie_prefers_small_q():
-    a, q, err = rational_approximation(5 / 12, 3)
-    assert (a, q) == (1, 2)
-    assert abs(err - 1 / 12) <= 1e-15
-
-
-def _best_fraction(alpha, q_max):
-    best = None
-    for q in range(1, q_max + 1):
-        a = round(alpha * q)
-        err = abs(alpha - a / q)
-        if best is None or err < best[2] - 1e-18:
-            best = (a, q, err)
-    return best
-
-
-def test_rational_approximation_exhaustive():
-    rng = np.random.default_rng(29)
-    for _ in range(200):
-        alpha = float(rng.random())
-        q_max = int(rng.integers(1, 13))
-        a, q, err = rational_approximation(alpha, q_max)
-        _, _, best_err = _best_fraction(alpha, q_max)
-        assert q <= q_max
-        assert abs(err - abs(alpha - a / q)) <= 1e-15
-        assert err <= best_err + 1e-12
-
-
-def _enumerated_approximation(alpha, q_max):
-    # the enumeration the two-candidate rule replaced: every convergent and
-    # every intermediate fraction with admissible denominator
-    x = float(alpha)
-    candidates = []
-    h_prev2, k_prev2 = 1, 0
-    h_prev, k_prev = floor(x), 1
-    candidates.append((h_prev, k_prev))
-    frac = x - floor(x)
-    for _ in range(64):
-        if k_prev > q_max:
-            break
-        if frac < 1e-14:
-            t_max = (q_max - k_prev2) // k_prev
-            for t in range(1, t_max + 1):
-                candidates.append((h_prev2 + t * h_prev, k_prev2 + t * k_prev))
-            break
-        a_n = floor(1.0 / frac)
-        t_cap = (q_max - k_prev2) // k_prev
-        for t in range(1, min(a_n, t_cap) + 1):
-            candidates.append((h_prev2 + t * h_prev, k_prev2 + t * k_prev))
-        h_prev2, h_prev = h_prev, a_n * h_prev + h_prev2
-        k_prev2, k_prev = k_prev, a_n * k_prev + k_prev2
-        frac = 1.0 / frac - a_n
-    err, q, a = min(
-        ((abs(x - a / q), q, a) for a, q in candidates if 1 <= q <= q_max),
-        key=lambda item: (item[0], item[1]),
-    )
-    g = gcd(a, q)
-    return a // g, q // g, err
-
-
-def test_rational_approximation_matches_enumeration():
-    rng = np.random.default_rng(41)
-    alphas = list(rng.uniform(-2.0, 3.0, size=200))
-    offsets = (0.0, 5e-17, 1e-15, 1e-13, 1e-9, 1e-3)
-    for q in range(1, 64):
-        for a in rng.integers(-2 * q, 3 * q, size=3):
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            alphas.append(int(a) / q + sign * offsets[int(rng.integers(6))])
-    fractions = sorted({Fraction(a, q) for q in range(1, 20) for a in range(q + 1)})
-    for i, j in rng.integers(0, len(fractions), size=(300, 2)):
-        # exact midpoints of two fractions: the tie cases
-        alphas.append(float((fractions[i] + fractions[j]) / 2))
-    for alpha in alphas:
-        for q_max in range(1, 65):
-            got = rational_approximation(alpha, q_max)
-            assert got == _enumerated_approximation(alpha, q_max), (alpha, q_max)
-            assert gcd(got[0], got[1]) == 1
 
 
 def test_dvp_window_profile():

@@ -1,9 +1,11 @@
 """Checks for the shared smooth cutoff against high-precision quadrature."""
 
+from math import ceil
+
 import mpmath as mp
 import numpy as np
 
-from quadsums.bump import _MOLLIFIER_MASS, SmoothBump, bump, smoothstep
+from quadsums.bump import _MOLLIFIER_MASS, SmoothBump, bump, gauss_panels, smoothstep
 
 mp.mp.dps = 25
 
@@ -82,6 +84,20 @@ def test_bump_mass():
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         total += half * float(weights @ bump(mid + half * nodes))
     assert abs(total - 3.0) <= 1e-13
+
+
+def test_gauss_panels_node_count_and_exactness():
+    # each 32-node panel is exact to degree 63; the error in x^k is measured
+    # against the scale int |x|^k of the integrand's size
+    for lo, hi in ((1.0, 2.0), (-1.0, 1.0), (0.0, 3.0)):
+        for n in (1, 33, 65, 128):
+            x, w = gauss_panels(lo, hi, n)
+            assert x.shape == w.shape == (32 * ceil(n / 32),)
+            assert np.all((lo <= x) & (x <= hi)) and np.all(np.diff(x) > 0)
+            for k in range(64):
+                exact = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+                scale = (abs(lo) ** (k + 1) + abs(hi) ** (k + 1)) / (k + 1)
+                assert abs(w @ x**k - exact) <= 1e-13 * scale, (lo, hi, n, k)
 
 
 def test_fourier_against_quadrature():

@@ -23,7 +23,7 @@ from quadsums import (
     smoothed_sum_direct,
 )
 from quadsums.bump import bump
-from quadsums.expsum import _cached_composite_rule, _integral_batch
+from quadsums.expsum import _composite_rule, _integral_batch
 
 HYPER = parse_form_spec("diag:1,-1")
 LINE = parse_form_spec("diag:1")
@@ -385,9 +385,10 @@ def _osc_trapezoid(form, beta, gamma, N, n=1201):
     X, Y = np.meshgrid(x, x, indexing="ij")
     M = form.matrix
     R = M[0][0] * X * X + 2 * M[0][1] * X * Y + M[1][1] * Y * Y
+    b = bump(x)
     f = (
-        bump(X)
-        * bump(Y)
+        b[:, None]
+        * b[None, :]
         * np.exp(2j * np.pi * (beta * N * N * R + N * (gamma[0] * X + gamma[1] * Y)))
     )
     h = x[1] - x[0]
@@ -431,12 +432,21 @@ def test_oscillatory_integral_decay():
         assert abs(r.value) <= (1 + m) ** (-3.0) * 3.0
 
 
+def test_oscillatory_integral_error_estimate_bounds_error():
+    # I(0, gamma; N) on diag:1 is kappa-hat(N gamma), which bump.fourier
+    # computes by another route (closed form on [0, 1])
+    for N in (2, 8, 32):
+        for gamma in (0.0, 0.1, 0.3, 1.7, 5.25):
+            r = oscillatory_integral(LINE, 0.0, [gamma], N)
+            err = abs(r.value - bump.fourier(N * gamma))
+            assert err <= 2.0 * r.error_estimate + 1e-13, (N, gamma, err)
+
+
 def _integral_dense(form, beta, gammas, N, orders):
     # the full tensor sum: every node, one exponential per (gamma, node)
-    rules = [_cached_composite_rule(o) for o in orders]
+    rules = [_composite_rule(o) for o in orders]
     nodes = np.meshgrid(*[x for x, _ in rules], indexing="ij")
-    weights = np.meshgrid(*[w for _, w in rules], indexing="ij")
-    wgt = np.prod([w * bump(x) for x, w in zip(nodes, weights)], axis=0)
+    wgt = np.prod(np.meshgrid(*[w * bump(x) for x, w in rules], indexing="ij"), axis=0)
     R = sum(
         form.matrix[i][j] * nodes[i] * nodes[j]
         for i in range(form.dim) for j in range(form.dim)

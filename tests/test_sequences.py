@@ -195,3 +195,12 @@ def test_only_product_families_declare_factors():
     save_sequence(ones_sequence(2, 1), buf)
     buf.seek(0)
     assert load_sequence(buf).factors is None
+
+
+def test_sequences_compare_by_identity():
+    seq, copy = ones_sequence(1, 1), ones_sequence(1, 1)
+    assert seq == seq and seq != copy and not seq == copy
+    w = SmoothWeight(1, 2)
+    assert w == w and w != SmoothWeight(1, 2)
+    assert len({seq, copy, w, seq}) == 3
+    assert {seq: 1, copy: 2}[seq] == 1
