@@ -302,39 +302,54 @@ def _integral_batch(
     max_nodes: int = 2**24,
 ) -> np.ndarray:
     """I(beta, gamma; N) = int eta(x) e(beta N^2 R(x) + N gamma . x) dx for a
-    (K, d) batch of gamma vectors; diagonal forms factor into 1-d rules."""
+    (K, d) batch of gamma vectors.
+
+    e(N gamma . x) is a product over the axes, so each axis builds one phase
+    row e(N u x_i) per distinct value u of gamma_i (a major-arc batch repeats
+    each value many times) and every gamma reads its factors off by index.
+    Diagonal forms factor into 1-d rules. Otherwise the weighted core
+    e(beta N^2 R) prod_i w_i eta(x_i) is built in slabs of the first node axis
+    and each slab is contracted against the phase rows, last axis first, into
+    a table over the distinct values (U_{d-1}, ..., U_0).
+    """
     d = form.dim
     gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
+    rules = [_composite_rule(o) for o in orders]
+    distinct = [np.unique(gammas[:, i], return_inverse=True) for i in range(d)]
+    rows = [
+        np.exp(2j * np.pi * N * np.outer(u, x))
+        for (u, _), (x, _) in zip(distinct, rules)
+    ]
     if form.is_diagonal():
         out = np.ones(len(gammas), dtype=np.complex128)
-        for i in range(d):
-            x, w = _composite_rule(orders[i])
+        for i, ((x, w), row, (_, inv)) in enumerate(zip(rules, rows, distinct)):
             ci = form.matrix[i][i]
             f = w * bump(x) * np.exp(2j * np.pi * beta * N * N * ci * x * x)
-            phases = np.exp(2j * np.pi * N * np.outer(gammas[:, i], x))
-            out *= phases @ f
+            out *= (row @ f)[inv]
         return out
-    rules = [_composite_rule(o) for o in orders]
     total = prod(len(x) for x, _ in rules)
-    if total > max_nodes:
+    entries = prod(len(u) for u, _ in distinct)
+    if max(total, entries) > max_nodes:
         raise ValueError(
-            f"tensor quadrature grid of {total} nodes exceeds {max_nodes}"
+            f"tensor quadrature grid of {total} nodes (table of {entries} "
+            f"entries) exceeds {max_nodes}"
         )
-    R = form.values_on([x for x, _ in rules])
-    core = np.exp(2j * np.pi * beta * N * N * R)
-    core *= functools.reduce(np.multiply.outer, [w * bump(x) for x, w in rules])
-    out = np.empty(len(gammas), dtype=np.complex128)
-    step = max(1, 2**22 // (total // len(rules[-1][0])))
-    for k0 in range(0, len(gammas), step):
-        gk = gammas[k0 : k0 + step]
-        # e(N gamma . x) is a product over the axes: contract the last axis
-        # with one matmul, then each earlier axis against its own factor
-        acc = core @ np.exp(2j * np.pi * N * np.outer(gk[:, -1], rules[-1][0])).T
-        for i in range(d - 2, -1, -1):
-            e_i = np.exp(2j * np.pi * N * np.outer(gk[:, i], rules[i][0]))
-            acc = np.einsum("...jk,kj->...k", acc, e_i)
-        out[k0 : k0 + step] = acc
-    return out
+    axes = [x for x, _ in rules]
+    weights = [w * bump(x) for x, w in rules]
+    step = max(1, 2**20 // (total // len(axes[0])))
+    table = 0.0
+    for j in range(0, len(axes[0]), step):
+        cut = slice(j, j + step)
+        acc = (2j * np.pi * beta * N * N) * form.values_on([axes[0][cut]] + axes[1:])
+        np.exp(acc, out=acc)
+        acc *= functools.reduce(np.multiply.outer, [weights[0][cut]] + weights[1:])
+        # node axis i sits at position i until it is contracted; the
+        # distinct-value axis it becomes is appended at the end
+        for i in range(d - 1, -1, -1):
+            phase = rows[i][:, cut] if i == 0 else rows[i]
+            acc = np.tensordot(acc, phase, axes=([i], [1]))
+        table = table + acc
+    return table[tuple(inv for _, inv in reversed(distinct))]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Exponential sums: grids vs direct summation, complete sums, integrals."""
 
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -472,6 +473,65 @@ def test_integral_batch_axis_contraction_matches_dense_sum():
         assert np.abs(got - want).max() <= 1e-13
         with pytest.raises(ValueError, match="tensor quadrature"):
             _integral_batch(form, beta, gammas, N, orders, max_nodes=100)
+
+
+def _major_arc_gammas(theta, q, m_cut):
+    # the batch major_arc_approx builds: theta - b/q - m over b in [0,q)^d and
+    # |m|_inf <= m_cut, so each axis repeats q (2 m_cut + 1) distinct values
+    d = len(theta)
+    b = np.stack(np.meshgrid(*[np.arange(q)] * d, indexing="ij"), -1).reshape(-1, d)
+    m_axis = np.arange(-m_cut, m_cut + 1)
+    m = np.stack(np.meshgrid(*[m_axis] * d, indexing="ij"), -1).reshape(-1, d)
+    th = np.asarray(theta, dtype=float)
+    return (th[None, None, :] - b[:, None, :] / q - m[None, :, :]).reshape(-1, d)
+
+
+def test_integral_batch_repeated_values_match_single_rows():
+    rng = np.random.default_rng(43)
+    cases = (
+        (parse_form_spec("diag:1,-1"), 4, (40, 40), None),
+        (parse_form_spec("mat:2:0,1,1,0"), 3, (8, 11), None),
+        # 3375 rows: compare a sample, since each one-row call is a 96^3 rule
+        (parse_form_spec("mat:3:1,1,0,1,2,1,0,1,-1"), 2, (8, 9, 10), 24),
+    )
+    for form, N, orders, sample in cases:
+        gammas = _major_arc_gammas(rng.random(form.dim), q=3, m_cut=2)
+        assert len(np.unique(gammas[:, 0])) == 15 < len(gammas)
+        shuffled = rng.permutation(len(gammas))
+        beta = 0.03
+        got = _integral_batch(form, beta, gammas, N, orders)
+        got_shuffled = _integral_batch(form, beta, gammas[shuffled], N, orders)
+        assert np.abs(got_shuffled - got[shuffled]).max() <= 1e-13
+        rows = np.arange(len(gammas))
+        if sample is not None:
+            rows = rng.choice(rows, sample, replace=False)
+        for k in rows:
+            one = _integral_batch(form, beta, gammas[k : k + 1], N, orders)[0]
+            assert abs(got[k] - one) <= 1e-13, (form, k)
+
+
+def test_integral_batch_refuses_an_oversized_value_table():
+    # 96^2 = 9216 nodes pass max_nodes, but 100 distinct values per axis
+    # would make a 100^2 table
+    form = parse_form_spec("mat:2:0,1,1,0")
+    gammas = np.random.default_rng(5).uniform(-2.0, 2.0, (100, 2))
+    with pytest.raises(ValueError, match="tensor quadrature"):
+        _integral_batch(form, 0.0, gammas, 3, (8, 8), max_nodes=9216)
+    fits = _integral_batch(form, 0.0, gammas[:96], 3, (8, 8), max_nodes=9216)
+    assert fits.shape == (96,)
+
+
+def test_major_arc_approx_d3_nondiagonal_stays_small():
+    # the 192^3 tensor rule of this input once took 5 s and 300 MB in one piece
+    form = parse_form_spec("mat:3:0,1,0,1,0,0,0,0,1")
+    tracemalloc.start()
+    try:
+        approx = major_arc_approx(form, SmoothWeight(3, 2), 1, 2, 0.0, [0.1, 0.2, 0.3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(approx.value - 1.9154513555130697) <= 1e-12 * 1.9154513555130697
+    assert peak < 128 * 2**20
 
 
 def test_oscillatory_integral_validation():
