@@ -110,12 +110,7 @@ def extension_direct(
     th = np.asarray(theta, dtype=float)
     if th.shape != (source.dim,):
         raise ValueError(f"theta must have length {source.dim}")
-    R = _r_grid(form, source.radius).astype(float)
-    phase = float(alpha) * R
-    for i, grid_i in enumerate(source.coordinate_grids()):
-        if th[i] != 0.0:
-            phase = phase + th[i] * grid_i
-    terms = source.values * np.exp(2j * np.pi * phase)
+    terms = _twist(_r_grid(form, source.radius), source.values, float(alpha), th)
     return complex(np.sum(terms))
 
 
@@ -134,8 +129,9 @@ def iter_field_chunks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (alpha start index, values[start:start+k]) over all alpha slices.
 
-    The sum is carried by boxes [-r, r]^e, each twisted once per call by
-    `_twisted_box` and transformed per chunk of alpha indices by `_chunk_fft`;
+    The sum is carried by boxes [-r, r]^e, each twisted once per call at the
+    grid offset by `_twist`, paired with R(n) mod m_alpha and transformed per
+    chunk of alpha indices by `_chunk_fft`;
     a chunk is the broadcast product of the boxes' chunks. In general there is
     one d-dim box (R(n), a(n)). A diagonal form with a sequence that declares
     `factors` a_i has d 1-D boxes (c_i n^2, a_i), since then
@@ -155,12 +151,13 @@ def iter_field_chunks(
     o = grid.offset
     if source.factors is not None and form.is_diagonal():
         n = np.arange(-r, r + 1, dtype=np.int64)
-        boxes = [
-            _twisted_box(form.matrix[i][i] * n * n, a_i, (o[0], o[1 + i]), m_alpha)
+        pieces = [
+            (form.matrix[i][i] * n * n, a_i, o[1 + i : 2 + i])
             for i, a_i in enumerate(source.factors)
         ]
     else:
-        boxes = [_twisted_box(_r_grid(form, r), source.values, o, m_alpha)]
+        pieces = [(_r_grid(form, r), source.values, o[1:])]
+    boxes = [(_twist(R, a, o[0], th), R % m_alpha) for R, a, th in pieces]
     for start in range(0, m_alpha, chunk):
         k = np.arange(start, min(start + chunk, m_alpha), dtype=np.int64)
         parts = []
@@ -172,17 +169,16 @@ def iter_field_chunks(
         yield start, functools.reduce(np.multiply, parts)
 
 
-def _twisted_box(
-    R: np.ndarray, values: np.ndarray, offset: Sequence[float], m_alpha: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(a(n) e(o_alpha R(n) + o_theta . n), R(n) mod m_alpha) on [-r, r]^e,
-    for offset = (o_alpha, o_theta): the alpha-independent part of the twist."""
+def _twist(
+    R: np.ndarray, values: np.ndarray, alpha: float, theta: Sequence[float]
+) -> np.ndarray:
+    """a(n) e(alpha R(n) + theta . n) on [-r, r]^e, from R(n) and a(n) there."""
     r = (R.shape[0] - 1) // 2
     coords = np.meshgrid(*[np.arange(-r, r + 1)] * R.ndim, indexing="ij", sparse=True)
-    phase = offset[0] * R
-    for o_i, n_i in zip(offset[1:], coords):
-        phase = phase + o_i * n_i
-    return values * np.exp(2j * np.pi * phase), R % m_alpha
+    phase = alpha * R
+    for t_i, n_i in zip(theta, coords):
+        phase = phase + t_i * n_i
+    return values * np.exp(2j * np.pi * phase)
 
 
 def _chunk_fft(
@@ -296,39 +292,32 @@ def _axis_orders(
 def _integral_batch(
     form: QuadraticForm,
     beta: float,
-    gammas: np.ndarray,
+    values: Sequence[np.ndarray],
     N: int,
     orders: Sequence[int],
     max_nodes: int = 2**24,
 ) -> np.ndarray:
-    """I(beta, gamma; N) = int eta(x) e(beta N^2 R(x) + N gamma . x) dx for a
-    (K, d) batch of gamma vectors.
+    """I(beta, gamma; N) = int eta(x) e(beta N^2 R(x) + N gamma . x) dx on the
+    product set gamma in values[0] x ... x values[d-1], one 1-D array of
+    gamma_i per axis; the result has shape (len(values[0]), ...).
 
     e(N gamma . x) is a product over the axes, so each axis builds one phase
-    row e(N u x_i) per distinct value u of gamma_i (a major-arc batch repeats
-    each value many times) and every gamma reads its factors off by index.
-    Diagonal forms factor into 1-d rules. Otherwise the weighted core
+    row e(N u x_i) per value u. Diagonal forms factor into 1-d rules and the
+    table is the outer product of their integrals. Otherwise the weighted core
     e(beta N^2 R) prod_i w_i eta(x_i) is built in slabs of the first node axis
-    and each slab is contracted against the phase rows, last axis first, into
-    a table over the distinct values (U_{d-1}, ..., U_0).
+    and each slab is contracted against the phase rows, leading node axis first.
     """
-    d = form.dim
-    gammas = np.atleast_2d(np.asarray(gammas, dtype=float))
     rules = [_composite_rule(o) for o in orders]
-    distinct = [np.unique(gammas[:, i], return_inverse=True) for i in range(d)]
-    rows = [
-        np.exp(2j * np.pi * N * np.outer(u, x))
-        for (u, _), (x, _) in zip(distinct, rules)
-    ]
+    rows = [np.exp(2j * np.pi * N * np.outer(u, x)) for u, (x, _) in zip(values, rules)]
     if form.is_diagonal():
-        out = np.ones(len(gammas), dtype=np.complex128)
-        for i, ((x, w), row, (_, inv)) in enumerate(zip(rules, rows, distinct)):
+        integrals = []
+        for i, ((x, w), row) in enumerate(zip(rules, rows)):
             ci = form.matrix[i][i]
             f = w * bump(x) * np.exp(2j * np.pi * beta * N * N * ci * x * x)
-            out *= (row @ f)[inv]
-        return out
+            integrals.append(row @ f)
+        return functools.reduce(np.multiply.outer, integrals)
     total = prod(len(x) for x, _ in rules)
-    entries = prod(len(u) for u, _ in distinct)
+    entries = prod(len(row) for row in rows)
     if max(total, entries) > max_nodes:
         raise ValueError(
             f"tensor quadrature grid of {total} nodes (table of {entries} "
@@ -343,13 +332,11 @@ def _integral_batch(
         acc = (2j * np.pi * beta * N * N) * form.values_on([axes[0][cut]] + axes[1:])
         np.exp(acc, out=acc)
         acc *= functools.reduce(np.multiply.outer, [weights[0][cut]] + weights[1:])
-        # node axis i sits at position i until it is contracted; the
-        # distinct-value axis it becomes is appended at the end
-        for i in range(d - 1, -1, -1):
-            phase = rows[i][:, cut] if i == 0 else rows[i]
-            acc = np.tensordot(acc, phase, axes=([i], [1]))
+        # each contraction appends its value axis after the remaining node axes
+        for row in [rows[0][:, cut]] + rows[1:]:
+            acc = np.tensordot(acc, row, axes=([0], [1]))
         table = table + acc
-    return table[tuple(inv for _, inv in reversed(distinct))]
+    return table
 
 
 @dataclass(frozen=True)
@@ -371,9 +358,10 @@ def oscillatory_integral(
     if g.shape != (form.dim,):
         raise ValueError(f"gamma must have length {form.dim}")
     orders = _axis_orders(form, beta, np.abs(g), N)
-    full = _integral_batch(form, beta, g[None, :], N, orders)[0]
-    finer = _integral_batch(form, beta, g[None, :], N, [2 * o for o in orders])[0]
-    return OscillatoryIntegral(complex(full), abs(full - finer), tuple(orders))
+    values = g[:, None]
+    full = _integral_batch(form, beta, values, N, orders).item()
+    finer = _integral_batch(form, beta, values, N, [2 * o for o in orders]).item()
+    return OscillatoryIntegral(full, abs(full - finer), tuple(orders))
 
 
 @dataclass(frozen=True)
@@ -406,28 +394,17 @@ def major_arc_approx(
         raise ValueError(f"theta must have length {d}")
     if m_cut < 1:
         raise ValueError("m_cut must be >= 1")
-    table = gauss_sum_table(form, a, q)
-
-    b_axes = [np.arange(q)] * d
-    m_axes = [np.arange(-m_cut, m_cut + 1)] * d
-    b_grid = np.stack(
-        [g.ravel() for g in np.meshgrid(*b_axes, indexing="ij")], axis=1
-    )
-    m_grid = np.stack(
-        [g.ravel() for g in np.meshgrid(*m_axes, indexing="ij")], axis=1
-    )
-    # gamma(b, m) = theta - b/q - m, all combinations flattened
-    gammas = (
-        th[None, None, :] - b_grid[:, None, :] / q - m_grid[None, :, :]
-    ).reshape(-1, d)
-    gamma_bound = np.abs(th) + 1.0 + m_cut
-    orders = _axis_orders(form, beta, gamma_bound, N)
-    ivals = _integral_batch(form, beta, gammas, N, orders).reshape(
-        len(b_grid), len(m_grid)
-    )
-    s_flat = table.ravel() / float(q**d)  # table is already b-indexed, C order
-    contrib = s_flat[:, None] * ivals * float(N) ** d
-    outer = np.abs(m_grid).max(axis=1) == m_cut
-    shell = float(np.abs(contrib[:, outer].sum()))
-    value = complex(contrib.sum())
-    return MajorArcApprox(value, shell, m_cut, contrib.size)
+    gauss = gauss_sum_table(form, a, q) / float(q**d)
+    m = np.arange(-m_cut, m_cut + 1)
+    # gamma_i(b_i, m_i) = theta_i - b_i/q - m_i, laid out as (b_i, m_i)
+    values = [(t - np.arange(q)[:, None] / q - m).ravel() for t in th]
+    orders = _axis_orders(form, beta, np.abs(th) + 1.0 + m_cut, N)
+    ivals = _integral_batch(form, beta, values, N, orders)
+    # S(a,b;q)/q^d over the b axes, leaving one sum per m
+    b_axes, m_axes = list(range(d)), list(range(d, 2 * d))
+    bm_axes = [k for pair in zip(b_axes, m_axes) for k in pair]
+    per_m = np.einsum(gauss, b_axes, ivals.reshape((q, len(m)) * d), bm_axes, m_axes)
+    per_m *= float(N) ** d
+    outer = functools.reduce(np.maximum, np.ix_(*[np.abs(m)] * d)) == m_cut
+    shell = float(np.abs(per_m[outer].sum()))
+    return MajorArcApprox(complex(per_m.sum()), shell, m_cut, q**d * per_m.size)

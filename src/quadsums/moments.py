@@ -287,7 +287,6 @@ def scan_field(
     # over hundreds of blocks would drift by several ulp
     sums = {p: [] for p in p_values}
     trunc = {key: [] for key in thresholds}
-    n_nonneg = 0
     hist = np.zeros(rungs.size + 1, dtype=np.int64)
     sup = 0.0
     for _, vals in iter_field_chunks(form, source, grid):
@@ -302,13 +301,11 @@ def scan_field(
                 kept = tail[tail >= thr]
                 if kept.size:
                     trunc[(p, thr)].append(float(np.sum(_pow(kept, p))))
-            if n_zero:
-                n_nonneg += int(np.count_nonzero(mag >= 0))
             if rungs.size:
                 bins = np.searchsorted(rungs, tail, side="right")
                 hist += np.bincount(bins, minlength=rungs.size + 1)
     above = hist[::-1].cumsum()[::-1][1:]
-    counts = np.concatenate([np.full(n_zero, n_nonneg), above])
+    counts = np.concatenate([np.full(n_zero, grid.total_cells), above])
     meas = counts / grid.total_cells
     return FieldScan(
         sup=sup,

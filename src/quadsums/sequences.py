@@ -97,10 +97,6 @@ class CoefficientSequence:
             (self.factors[0] / nrm,) + self.factors[1:], self.label
         )
 
-    def coordinate_grids(self) -> list[np.ndarray]:
-        coords = np.arange(-self.radius, self.radius + 1)
-        return np.meshgrid(*([coords] * self.dim), indexing="ij")
-
     def __getitem__(self, n: Sequence[int]) -> complex:
         idx = tuple(int(x) + self.radius for x in n)
         return complex(self.values[idx])

@@ -1,5 +1,6 @@
 """Exponential sums: grids vs direct summation, complete sums, integrals."""
 
+import itertools
 import tracemalloc
 from math import gcd
 
@@ -24,7 +25,7 @@ from quadsums import (
     smoothed_sum_direct,
 )
 from quadsums.bump import bump
-from quadsums.expsum import _composite_rule, _integral_batch
+from quadsums.expsum import _axis_orders, _composite_rule, _integral_batch
 
 HYPER = parse_form_spec("diag:1,-1")
 LINE = parse_form_spec("diag:1")
@@ -443,8 +444,9 @@ def test_oscillatory_integral_error_estimate_bounds_error():
             assert err <= 2.0 * r.error_estimate + 1e-13, (N, gamma, err)
 
 
-def _integral_dense(form, beta, gammas, N, orders):
-    # the full tensor sum: every node, one exponential per (gamma, node)
+def _integral_dense(form, beta, values, N, orders):
+    # the full tensor sum: every node, one exponential per (gamma, node), for
+    # every gamma of the product set
     rules = [_composite_rule(o) for o in orders]
     nodes = np.meshgrid(*[x for x, _ in rules], indexing="ij")
     wgt = np.prod(np.meshgrid(*[w * bump(x) for x, w in rules], indexing="ij"), axis=0)
@@ -453,10 +455,10 @@ def _integral_dense(form, beta, gammas, N, orders):
         for i in range(form.dim) for j in range(form.dim)
     )
     out = []
-    for gamma in gammas:
+    for gamma in itertools.product(*values):
         lin = sum(g * x for g, x in zip(gamma, nodes))
         out.append(np.sum(wgt * np.exp(2j * np.pi * (beta * N * N * R + N * lin))))
-    return np.array(out)
+    return np.array(out).reshape([len(v) for v in values])
 
 
 def test_integral_batch_axis_contraction_matches_dense_sum():
@@ -466,59 +468,82 @@ def test_integral_batch_axis_contraction_matches_dense_sum():
         (parse_form_spec("mat:3:1,1,0,1,2,1,0,1,-1"), 2, (8, 9, 10)),
     )
     for form, N, orders in cases:
-        gammas = rng.uniform(-2.0, 2.0, (6, form.dim))
+        values = [rng.uniform(-2.0, 2.0, n) for n in (3, 2, 4)[: form.dim]]
         beta = 0.05
-        got = _integral_batch(form, beta, gammas, N, orders)
-        want = _integral_dense(form, beta, gammas, N, orders)
+        got = _integral_batch(form, beta, values, N, orders)
+        want = _integral_dense(form, beta, values, N, orders)
+        assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13
         with pytest.raises(ValueError, match="tensor quadrature"):
-            _integral_batch(form, beta, gammas, N, orders, max_nodes=100)
+            _integral_batch(form, beta, values, N, orders, max_nodes=100)
 
 
-def _major_arc_gammas(theta, q, m_cut):
-    # the batch major_arc_approx builds: theta - b/q - m over b in [0,q)^d and
-    # |m|_inf <= m_cut, so each axis repeats q (2 m_cut + 1) distinct values
-    d = len(theta)
-    b = np.stack(np.meshgrid(*[np.arange(q)] * d, indexing="ij"), -1).reshape(-1, d)
-    m_axis = np.arange(-m_cut, m_cut + 1)
-    m = np.stack(np.meshgrid(*[m_axis] * d, indexing="ij"), -1).reshape(-1, d)
-    th = np.asarray(theta, dtype=float)
-    return (th[None, None, :] - b[:, None, :] / q - m[None, :, :]).reshape(-1, d)
+def _major_arc_values(theta, q, m_cut):
+    # the layout major_arc_approx builds: theta_i - b/q - m over b in [0,q)
+    # and |m| <= m_cut, q (2 m_cut + 1) values per axis
+    m = np.arange(-m_cut, m_cut + 1)
+    return [(t - np.arange(q)[:, None] / q - m).ravel() for t in theta]
 
 
-def test_integral_batch_repeated_values_match_single_rows():
+def test_integral_batch_table_matches_one_point_calls():
     rng = np.random.default_rng(43)
     cases = (
         (parse_form_spec("diag:1,-1"), 4, (40, 40), None),
         (parse_form_spec("mat:2:0,1,1,0"), 3, (8, 11), None),
-        # 3375 rows: compare a sample, since each one-row call is a 96^3 rule
+        # 3375 entries: compare a sample, since each one-point call is a 96^3 rule
         (parse_form_spec("mat:3:1,1,0,1,2,1,0,1,-1"), 2, (8, 9, 10), 24),
     )
     for form, N, orders, sample in cases:
-        gammas = _major_arc_gammas(rng.random(form.dim), q=3, m_cut=2)
-        assert len(np.unique(gammas[:, 0])) == 15 < len(gammas)
-        shuffled = rng.permutation(len(gammas))
+        values = _major_arc_values(rng.random(form.dim), q=3, m_cut=2)
         beta = 0.03
-        got = _integral_batch(form, beta, gammas, N, orders)
-        got_shuffled = _integral_batch(form, beta, gammas[shuffled], N, orders)
-        assert np.abs(got_shuffled - got[shuffled]).max() <= 1e-13
-        rows = np.arange(len(gammas))
+        got = _integral_batch(form, beta, values, N, orders)
+        assert got.shape == (15,) * form.dim
+        entries = list(np.ndindex(got.shape))
         if sample is not None:
-            rows = rng.choice(rows, sample, replace=False)
-        for k in rows:
-            one = _integral_batch(form, beta, gammas[k : k + 1], N, orders)[0]
-            assert abs(got[k] - one) <= 1e-13, (form, k)
+            entries = [entries[k] for k in rng.choice(len(entries), sample, replace=False)]
+        for idx in entries:
+            point = [v[k : k + 1] for v, k in zip(values, idx)]
+            one = _integral_batch(form, beta, point, N, orders)
+            assert one.shape == (1,) * form.dim
+            assert abs(got[idx] - one.item()) <= 1e-13, (form, idx)
 
 
 def test_integral_batch_refuses_an_oversized_value_table():
-    # 96^2 = 9216 nodes pass max_nodes, but 100 distinct values per axis
-    # would make a 100^2 table
+    # 96^2 = 9216 nodes pass max_nodes, but 100 values per axis would make a
+    # 100^2 table
     form = parse_form_spec("mat:2:0,1,1,0")
-    gammas = np.random.default_rng(5).uniform(-2.0, 2.0, (100, 2))
+    values = list(np.random.default_rng(5).uniform(-2.0, 2.0, (2, 100)))
     with pytest.raises(ValueError, match="tensor quadrature"):
-        _integral_batch(form, 0.0, gammas, 3, (8, 8), max_nodes=9216)
-    fits = _integral_batch(form, 0.0, gammas[:96], 3, (8, 8), max_nodes=9216)
-    assert fits.shape == (96,)
+        _integral_batch(form, 0.0, values, 3, (8, 8), max_nodes=9216)
+    fits = _integral_batch(form, 0.0, [v[:96] for v in values], 3, (8, 8), max_nodes=9216)
+    assert fits.shape == (96, 96)
+
+
+def test_major_arc_approx_matches_explicit_poisson_loop():
+    # sum_b q^{-d} S(a,b;q) sum_{|m|_inf <= m_cut} N^d I(beta, theta - b/q - m; N)
+    # term by term, with the approximant's own quadrature orders
+    rng = np.random.default_rng(61)
+    cases = (("diag:1,-1", 6, 3, 2), ("mat:2:0,1,1,0", 3, 2, 1), ("diag:1,1,-1", 2, 2, 1))
+    for spec, N, q, m_cut in cases:
+        form = parse_form_spec(spec)
+        d = form.dim
+        beta = float(rng.uniform(-1, 1)) / (8 * q * N)
+        theta = rng.random(d)
+        approx = major_arc_approx(form, SmoothWeight(d, N), 1, q, beta, theta, m_cut)
+        orders = _axis_orders(form, beta, np.abs(theta) + 1.0 + m_cut, N)
+        value, shell, terms = 0.0, 0.0, 0
+        for b in itertools.product(range(q), repeat=d):
+            s = gauss_sum(form, 1, b, q) / q**d
+            for m in itertools.product(range(-m_cut, m_cut + 1), repeat=d):
+                gamma = [[t - b_i / q - m_i] for t, b_i, m_i in zip(theta, b, m)]
+                term = s * N**d * _integral_batch(form, beta, gamma, N, orders).item()
+                value += term
+                if max(abs(m_i) for m_i in m) == m_cut:
+                    shell += term
+                terms += 1
+        assert abs(approx.value - value) <= 1e-13 * N**d, spec
+        assert abs(approx.outer_shell - abs(shell)) <= 1e-13 * N**d, spec
+        assert approx.terms == terms
 
 
 def test_major_arc_approx_d3_nondiagonal_stays_small():
