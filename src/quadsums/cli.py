@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -61,8 +62,7 @@ def _resolve_grid(cfg: RunConfig, form, seq, p) -> TorusGrid:
         m_alpha, m_theta = cfg.m_alpha, cfg.m_theta
     else:
         m_alpha, m_theta = scaling.grid_sizes(
-            cfg.grid_policy, form, _require(cfg, "N", "--N"), p, seq.radius,
-            cfg.max_cells,
+            cfg.grid_policy, form, p, seq.radius, cfg.max_cells
         )
     return TorusGrid(d, m_alpha, m_theta, (0.0,) * (d + 1))
 
@@ -447,9 +447,30 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+# argparse reads a value that starts with "-" as an option unless it looks
+# like -2 or -.5; joined to its flag, -inf, -nan or -1e5 reaches the checks
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """`--flag -inf` as `--flag=-inf`, for every flag given without `=`."""
+    out: list[str] = []
+    for tok in argv:
+        if (
+            out and out[-1].startswith("--") and "=" not in out[-1]
+            and _NEGATIVE_VALUE.match(tok)
+        ):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_negative_values(sys.argv[1:] if argv is None else list(argv))
+    )
     try:
         cfg = merge_config(args)
         return DISPATCH[args.command](cfg)

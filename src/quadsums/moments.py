@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadform import QuadraticForm, frequency_bound
-from .expsum import TorusGrid, iter_field_chunks
+from .quadform import QuadraticForm
+from .expsum import TorusGrid, _r_grid, iter_field_chunks
 from .sequences import CoefficientSequence, SmoothWeight
 
 __all__ = [
@@ -57,6 +57,12 @@ def _support(form: QuadraticForm, seq: CoefficientSequence):
     return vals[nz], coords, r_vals
 
 
+def _even_p(p) -> int:
+    if p < 2 or p % 2 != 0:
+        raise ValueError(f"p must be an even integer >= 2, got {p}")
+    return int(p)
+
+
 # Entries of the (bucket keys x point keys) outer sum binned at once.
 _FOLD_CHUNK = 2**20
 
@@ -85,9 +91,7 @@ def even_moment_exact(
     `max_entries` caps the final key table, so it bounds memory, not work;
     over it the call raises ValueError.
     """
-    if p < 2 or p % 2 != 0:
-        raise ValueError(f"p must be an even integer >= 2, got {p}")
-    k = p // 2
+    k = _even_p(p) // 2
     a_nz, coords, r_nz = _support(form, source)
     if a_nz.size == 0:
         return 0.0
@@ -197,29 +201,48 @@ def representation_count(form: QuadraticForm, source, p: int) -> RepresentationC
 # ---------------------------------------------------------------------------
 # grid quadrature
 
-def _nyquist_targets(form: QuadraticForm, N: int, p: int) -> tuple[int, int]:
-    """(m_alpha, m_theta) strictly outrunning the degrees p*R_max and 2pN of
-    |F|^p, for an integer p."""
-    return p * frequency_bound(form, N) + 1, 2 * p * N + 1
+def _nyquist_targets(form: QuadraticForm, radius: int, p: int) -> tuple[int, int]:
+    """(m_alpha, m_theta) one past the largest |k| among the alpha and theta
+    frequencies of |F|^p, for a sequence on [-radius, radius]^d and an
+    integer p.
+
+    Alpha frequencies are differences of sums of p/2 values of R, so at most
+    (p/2)(max R - min R) over the box; theta frequencies are differences of
+    sums of p/2 points, so at most p * radius per axis, and p * radius + 1 >=
+    2 * radius + 1 keeps the field engine's anti-alias guard for p >= 2. A
+    diagonal form takes max R - min R = radius^2 sum |c_i| in closed form; any
+    other reads it off the cached table of R on the box, which the field
+    engine builds anyway.
+    """
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    if form.is_diagonal():
+        span = radius * radius * sum(abs(form.matrix[i][i]) for i in range(form.dim))
+    else:
+        R = _r_grid(form, radius)
+        span = int(R.max()) - int(R.min())
+    return (p * span) // 2 + 1, p * radius + 1
 
 
-def nyquist_sizes(form: QuadraticForm, N: int, p: int) -> tuple[int, int]:
-    """Smallest (m_alpha, m_theta) that integrate |F|^p exactly for even p."""
-    if p < 2 or p % 2 != 0:
-        raise ValueError(f"p must be an even integer >= 2, got {p}")
-    return _nyquist_targets(form, N, int(p))
+def nyquist_sizes(form: QuadraticForm, radius: int, p: int) -> tuple[int, int]:
+    """(m_alpha, m_theta) that integrate |F|^p exactly for even p and a
+    sequence on [-radius, radius]^d."""
+    return _nyquist_targets(form, radius, _even_p(p))
 
 
-def nyquist_grid(form: QuadraticForm, N: int, dim: int, p: int) -> TorusGrid:
-    m_alpha, m_theta = nyquist_sizes(form, N, p)
+def nyquist_grid(form: QuadraticForm, radius: int, dim: int, p: int) -> TorusGrid:
+    m_alpha, m_theta = nyquist_sizes(form, radius, p)
     return TorusGrid(dim, m_alpha, m_theta, (0.0,) * (dim + 1))
 
 
-def nyquist_sufficient(grid: TorusGrid, form: QuadraticForm, N: int, p) -> bool:
-    """Whether equal-weight quadrature on `grid` is provably exact for |F|^p."""
-    if p != int(p) or int(p) % 2 != 0:
+def nyquist_sufficient(grid: TorusGrid, form: QuadraticForm, radius: int, p) -> bool:
+    """Whether equal-weight quadrature on `grid` is provably exact for |F|^p,
+    a sequence on [-radius, radius]^d, at any offset."""
+    try:
+        p = _even_p(p)
+    except ValueError:
         return False
-    m_alpha, m_theta = nyquist_sizes(form, N, int(p))
+    m_alpha, m_theta = nyquist_sizes(form, radius, p)
     return grid.m_alpha >= m_alpha and grid.m_theta >= m_theta
 
 
@@ -396,8 +419,9 @@ def build_report(
     `sup` is their max, and `spread` is the larger relative spread of the full
     and truncated moments (0.0 for one grid). Even p also runs the exact
     counting oracle, budget permitting; the full moment then reports the
-    exact value. `exact` says whether the first grid is Nyquist-exact.
-    N is the weight's N for a SmoothWeight and the radius otherwise.
+    exact value. `exact` says whether the first grid is Nyquist-exact for the
+    sequence's radius. N is the weight's N for a SmoothWeight and the radius
+    otherwise.
     """
     if not np.isfinite(C):
         raise ValueError("C must be finite")
@@ -451,7 +475,7 @@ def build_report(
             "offset": list(first.offset),
             "cells": first.total_cells,
         },
-        exact=nyquist_sufficient(first, form, N, p),
+        exact=nyquist_sufficient(first, form, source.radius, p),
         spread=max(_rel_spread(fulls), _rel_spread(truncs)),
         oracle_full=oracle_val,
         grid_full=grid_full,

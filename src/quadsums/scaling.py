@@ -126,9 +126,22 @@ class ScalingFit:
     verdict: str
 
 
+def _min_theta(radius: int, dim: int, max_cells: int) -> int:
+    """2 * radius + 1, the fewest theta points a grid for a sequence on
+    [-radius, radius]^dim may take, once one alpha slice of them fits the
+    budget. Checked before any Nyquist target is asked for: a non-diagonal
+    form's target reads a table of R on the box, as large as that slice."""
+    m_min = 2 * radius + 1
+    if m_min**dim > max_cells:
+        raise ValueError(
+            f"budget {max_cells} cannot fit one alpha slice of {m_min}^{dim} cells"
+        )
+    return m_min
+
+
 def budgeted_grid_sizes(
     form: QuadraticForm,
-    N: int,
+    N: int | None,
     dim: int,
     p: float,
     radius: int,
@@ -136,15 +149,15 @@ def budgeted_grid_sizes(
 ) -> tuple[int, int]:
     """Grid sizes under a cell budget: start the theta axes at the minimum the
     support allows, spend the budget on the alpha axis up to its Nyquist
-    target, then grow theta toward its own target with whatever is left."""
+    target, then grow theta toward its own target with whatever is left.
+
+    The targets are those of `moments.nyquist_sizes` at ceil(p) for a
+    sequence on [-radius, radius]^dim. N is unused; it keeps its place so
+    that dim stays the third positional argument."""
     if not (np.isfinite(p) and p > 0):
         raise ValueError(f"p must be positive and finite, got {p}")
-    want_alpha, want_theta = moments._nyquist_targets(form, N, int(ceil(p)))
-    m_min = 2 * radius + 1
-    if m_min**dim > max_cells:
-        raise ValueError(
-            f"budget {max_cells} cannot fit one alpha slice of {m_min}^{dim} cells"
-        )
+    m_min = _min_theta(radius, dim, max_cells)
+    want_alpha, want_theta = moments._nyquist_targets(form, radius, int(ceil(p)))
     m_alpha = min(want_alpha, max(1, max_cells // m_min**dim))
     m_theta = m_min
     if m_alpha >= want_alpha:
@@ -157,7 +170,6 @@ def budgeted_grid_sizes(
 def grid_sizes(
     policy: str,
     form: QuadraticForm,
-    N: int,
     p: float,
     radius: int,
     max_cells: int,
@@ -167,12 +179,11 @@ def grid_sizes(
     integer p and refuses a grid of more than `max_cells` cells."""
     d = form.dim
     if policy == "budgeted":
-        return budgeted_grid_sizes(form, N, d, p, radius, max_cells)
+        return budgeted_grid_sizes(form, None, d, p, radius, max_cells)
     if policy != "nyquist":
         raise ValueError(f"unknown grid policy {policy!r}, expected {GRID_POLICIES}")
-    if p != int(p) or int(p) % 2 != 0:
-        raise ValueError("nyquist grids need an even integer p")
-    m_alpha, m_theta = moments.nyquist_sizes(form, N, int(p))
+    _min_theta(radius, d, max_cells)
+    m_alpha, m_theta = moments.nyquist_sizes(form, radius, p)
     if m_alpha * m_theta**d > max_cells:
         raise ValueError(
             f"nyquist grid {m_alpha}x{m_theta}^{d} exceeds max_cells={max_cells}"
@@ -213,7 +224,7 @@ def _run_single(exp: ScalingExperiment, d: int, N: int) -> moments.MomentReport:
         exp.family, d, N, s=exp.s, seed=_family_seed(exp.seed, N)
     ).normalized()
     m_alpha, m_theta = grid_sizes(
-        exp.grid_policy, exp.form, N, exp.p, seq.radius, exp.max_cells
+        exp.grid_policy, exp.form, exp.p, seq.radius, exp.max_cells
     )
     grids = [
         TorusGrid.random_offset(d, m_alpha, m_theta, _offset_rng(exp.seed, N, j))

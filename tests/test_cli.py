@@ -22,7 +22,7 @@ def test_moment_extremizer_exact():
     assert code == 0 and err == ""
     assert "full=19\n" in out
     assert "exact=yes" in out
-    assert "grid=289x25^2" in out
+    assert "grid=37x13^2" in out
 
 
 def test_moment_delta_flat():
@@ -113,8 +113,9 @@ def test_nonpositive_p_budgeted_exits_2():
 def test_scaling_nonfinite_p_or_C_exits_2():
     base = ["scaling", "--form", "diag:1,-1", "--family", "ones",
             "--N-list", "2,3,4"]
-    for flag, value in (("--C", "nan"), ("--C", "inf"),
-                        ("--p", "nan"), ("--p", "inf")):
+    # "-inf" after a flag reaches the check as "--C=-inf" does
+    for flag, value in (("--C", "nan"), ("--C", "inf"), ("--C", "-inf"),
+                        ("--p", "nan"), ("--p", "inf"), ("--p", "-inf")):
         code, out, err = _run([*base, flag, value])
         assert code == 2 and out == ""
         assert f"{flag[2:]} must be finite" in err

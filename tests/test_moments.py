@@ -9,6 +9,7 @@ import pytest
 from quadsums import (
     CoefficientSequence,
     QuadraticForm,
+    SmoothWeight,
     TorusGrid,
     delta_sequence,
     diagonal_extremizer,
@@ -234,17 +235,58 @@ def test_representation_count():
 
 
 def test_nyquist_sizes_and_sufficiency():
-    assert moments.nyquist_sizes(LINE, 4, 4) == (257, 33)
-    assert moments.nyquist_sizes(HYPER, 2, 4) == (129, 17)
+    assert moments.nyquist_sizes(LINE, 4, 4) == (33, 17)
+    assert moments.nyquist_sizes(HYPER, 2, 4) == (17, 9)
     sizes = moments.nyquist_sizes(HYPER, 4, 4.0)
-    assert sizes == (513, 33) and all(type(v) is int for v in sizes)
+    assert sizes == (65, 17) and all(type(v) is int for v in sizes)
     grid = moments.nyquist_grid(LINE, 4, 1, 4)
     assert grid.offset == (0.0, 0.0)
     assert moments.nyquist_sufficient(grid, LINE, 4, 4)
     assert not moments.nyquist_sufficient(grid, LINE, 4, 6)
     assert not moments.nyquist_sufficient(grid, LINE, 4, 3)
-    small = TorusGrid(1, 256, 33, (0.0, 0.0))
-    assert not moments.nyquist_sufficient(small, LINE, 4, 4)
+    # one point below the bounds (p/2) * 16 + 1 and p * 4 + 1
+    assert not moments.nyquist_sufficient(TorusGrid(1, 32, 17, (0.0, 0.0)), LINE, 4, 4)
+    assert not moments.nyquist_sufficient(TorusGrid(1, 33, 16, (0.0, 0.0)), LINE, 4, 4)
+
+
+def test_nyquist_sizes_are_tight():
+    # exact at the sizes, and inexact one alpha point or one theta point below
+    for spec, r in (("diag:1,-1", 3), ("mat:2:0,1,1,0", 3), ("diag:1,1,-1", 2)):
+        form = parse_form_spec(spec)
+        d = form.dim
+        seq = random_unit_sequence(d, r, seed=11)
+        for p in (4, 6):
+            m_alpha, m_theta = moments.nyquist_sizes(form, r, p)
+            assert m_theta == p * r + 1
+            want = moments.even_moment_exact(form, seq, p)
+
+            def gap(m_a, m_t):
+                grid = TorusGrid(d, m_a, m_t, (0.0,) * (d + 1))
+                got = moments.scan_field(form, seq, grid, p_values=(p,)).moments[p]
+                return abs(got - want) / want
+
+            assert gap(m_alpha, m_theta) <= 1e-12
+            assert gap(m_alpha, m_theta - 1) > 1e-9
+            # for odd p/2 the alpha frequency (p/2) span(R) pairs only with
+            # nonzero theta frequencies (an odd count of extreme coordinates
+            # cannot sum to zero), so one alpha point fewer is still exact
+            # at p = 6 and the alpha check runs at p = 4 only
+            if p == 4:
+                assert gap(m_alpha - 1, m_theta) > 1e-9
+
+
+def test_smooth_weight_report_sizes_by_radius():
+    # a SmoothWeight's N is not its radius 2N-1: sizes from N are not exact
+    form = HYPER
+    weight = SmoothWeight(2, 2)
+    for p in (4, 6):
+        rep = moments.build_report(
+            form, weight, [moments.nyquist_grid(form, weight.radius, 2, p)], p
+        )
+        assert rep.exact is True and rep.N == 2
+        assert abs(rep.grid_full - rep.oracle_full) <= 1e-12 * rep.oracle_full
+        short = moments.nyquist_grid(form, weight.N, 2, p)
+        assert moments.build_report(form, weight, [short], p).exact is False
 
 
 def test_grid_moment_matches_exact():
@@ -400,9 +442,10 @@ def test_scan_field_blocked_at_scale():
             for p, t in thrs:
                 want = float(np.sum(mags[mags >= t] ** p)) * grid.cell_measure
                 assert scan.truncated[(p, t)] == pytest.approx(want, rel=1e-13)
-    # |F| attains 27 at 18 cells of this grid, where the computed values
-    # straddle 27 by an ulp; the blocked scan counts exactly those of np.abs
-    grid = moments.nyquist_grid(HYPER, 4, 2, 4)
+    # |F| attains 27 at 18 cells of this grid (alpha = 1/3), where the
+    # computed values straddle 27 by an ulp; the blocked scan counts exactly
+    # those of np.abs
+    grid = TorusGrid(2, 513, 33, (0.0, 0.0, 0.0))
     mags = np.abs(_field(HYPER, ones_sequence(2, 4), grid))
     scan = moments.scan_field(
         HYPER, ones_sequence(2, 4), grid, p_values=(), lambdas=(27.0,)
@@ -432,7 +475,7 @@ def test_moment_report_round_trip():
         "C", "N", "exact", "form", "full", "grid", "levels", "p", "truncated",
     ]
     assert d["N"] == 4 and d["exact"] is True
-    assert d["grid"]["m_alpha"] == 257 and d["grid"]["cells"] == 8481
+    assert d["grid"]["m_alpha"] == 33 and d["grid"]["cells"] == 561
     assert rep.oracle_full == 153.0
     assert abs(d["full"] - 153.0) <= 1e-6
     parsed = json.loads(rep.to_json())

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from quadsums import moments, parse_form_spec, scaling
+from quadsums import expsum, moments, parse_form_spec, scaling
 from quadsums.scaling import (
+    GRID_POLICIES,
     ScalingExperiment,
     budgeted_grid_sizes,
     fit_experiment,
     fit_loglog,
+    grid_sizes,
     pairwise_slopes,
     run_experiment,
     theory_exponents,
@@ -75,6 +77,18 @@ def test_budgeted_grid_sizes():
     for p in (-2.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="p must be positive and finite"):
             budgeted_grid_sizes(LINE, 8, 1, p, 8, 10**6)
+
+
+def test_oversized_grid_refused_before_r_table():
+    # a non-diagonal form's Nyquist target reads the table of R on the box,
+    # as large as one alpha slice; a budget that cannot fit that slice is
+    # refused before the table is built
+    form = parse_form_spec("mat:2:0,1,1,0")
+    misses = expsum._r_grid.cache_info().misses
+    for policy in GRID_POLICIES:
+        with pytest.raises(ValueError, match="cannot fit"):
+            grid_sizes(policy, form, 4.0, 1000, 10**6)
+    assert expsum._r_grid.cache_info().misses == misses
 
 
 def test_extremizer_experiment_exact_counts():
@@ -145,10 +159,11 @@ def test_per_N_failure_isolation():
 
 
 def test_budgeted_report_exact_means_grid_exactness():
-    # the oracle fixes the full moment, but a sub-Nyquist grid is not exact
+    # the oracle fixes the full moment, but a sub-Nyquist grid is not exact:
+    # 1000 cells give 17x7^2, 20x7^2 and 12x9^2, each short of an axis
     exp = ScalingExperiment(
         HYPER, "ones", (2, 3, 4), p=4.0, grid_policy="budgeted",
-        max_cells=20_000, offsets=1,
+        max_cells=1000, offsets=1,
     )
     res = run_experiment(exp)
     assert res.failures == []
