@@ -54,15 +54,19 @@ def _require(cfg: RunConfig, attr: str, flag: str):
     return val
 
 
-def _resolve_grid(cfg: RunConfig, form, seq, p) -> TorusGrid:
-    d = seq.dim
+def _resolve_grid(cfg: RunConfig, form, radius: int, p) -> TorusGrid:
+    """The grid for a sequence on [-radius, radius]^d; every family has radius
+    N, so this runs, and refuses, before the sequence is built."""
+    if radius < 0:
+        raise ValueError(f"--N must be >= 0, got {radius}")
+    d = form.dim
     if cfg.m_alpha is not None or cfg.m_theta is not None:
         if cfg.m_alpha is None or cfg.m_theta is None:
             raise ValueError("explicit grids need both --m-alpha and --m-theta")
         m_alpha, m_theta = cfg.m_alpha, cfg.m_theta
     else:
         m_alpha, m_theta = scaling.grid_sizes(
-            cfg.grid_policy, form, p, seq.radius, cfg.max_cells
+            cfg.grid_policy, form, p, radius, cfg.max_cells
         )
     return TorusGrid(d, m_alpha, m_theta, (0.0,) * (d + 1))
 
@@ -73,8 +77,8 @@ def _resolve_grid(cfg: RunConfig, form, seq, p) -> TorusGrid:
 def cmd_moment(cfg: RunConfig, headline: str = "full") -> int:
     N = _require(cfg, "N", "--N")
     form = parse_form_spec(cfg.form or DEFAULT_FORM)
+    grid = _resolve_grid(cfg, form, N, cfg.p)
     seq = make_sequence(cfg.family, form.dim, N, s=cfg.s, seed=cfg.seed)
-    grid = _resolve_grid(cfg, form, seq, cfg.p)
     report = moments.build_report(form, seq, [grid], cfg.p, cfg.C, lambdas=cfg.lambdas)
     order = ("truncated", "full") if headline == "truncated" else ("full", "truncated")
     print(
@@ -115,8 +119,8 @@ def cmd_truncated(cfg: RunConfig) -> int:
 def cmd_levelset(cfg: RunConfig) -> int:
     N = _require(cfg, "N", "--N")
     form = parse_form_spec(cfg.form or DEFAULT_FORM)
+    grid = _resolve_grid(cfg, form, N, cfg.p)
     seq = make_sequence(cfg.family, form.dim, N, s=cfg.s, seed=cfg.seed)
-    grid = _resolve_grid(cfg, form, seq, cfg.p)
     if cfg.lambdas is not None:
         lams = tuple(cfg.lambdas)
     else:

@@ -36,6 +36,11 @@ __all__ = [
     "major_arc_approx",
 ]
 
+# Bytes of one field chunk by default: 2^18 complex128 cells, small enough
+# that a chunk is still in cache when its consumer reads it back.
+_CHUNK_BYTES = 4 * 2**20
+
+
 @functools.lru_cache(maxsize=64)
 def _r_grid(form: QuadraticForm, radius: int) -> np.ndarray:
     out = form.values_on_grid(radius)
@@ -136,6 +141,9 @@ def iter_field_chunks(
     one d-dim box (R(n), a(n)). A diagonal form with a sequence that declares
     `factors` a_i has d 1-D boxes (c_i n^2, a_i), since then
     F = prod_i f_i(c_i alpha, theta_i).
+
+    `chunk` defaults to as many alpha slices as fit in `_CHUNK_BYTES`; a
+    slice larger than that is still yielded whole, one per chunk.
     """
     d, r, m, m_alpha = source.dim, source.radius, grid.m_theta, grid.m_alpha
     if grid.dim != d:
@@ -146,7 +154,7 @@ def iter_field_chunks(
             f"{2 * r + 1} of the sequence (frequencies would alias)"
         )
     if chunk is None:
-        chunk = max(1, int(2**21 // max(m**d, 1)))
+        chunk = max(1, _CHUNK_BYTES // (16 * m**d))
     roots = np.exp(2j * np.pi * np.arange(m_alpha) / m_alpha)
     o = grid.offset
     if source.factors is not None and form.is_diagonal():

@@ -220,12 +220,11 @@ def run_experiment(exp: ScalingExperiment) -> ExperimentResult:
 
 
 def _run_single(exp: ScalingExperiment, d: int, N: int) -> moments.MomentReport:
+    # every family has radius N: size the grid before building the sequence
+    m_alpha, m_theta = grid_sizes(exp.grid_policy, exp.form, exp.p, N, exp.max_cells)
     seq = make_sequence(
         exp.family, d, N, s=exp.s, seed=_family_seed(exp.seed, N)
     ).normalized()
-    m_alpha, m_theta = grid_sizes(
-        exp.grid_policy, exp.form, exp.p, seq.radius, exp.max_cells
-    )
     grids = [
         TorusGrid.random_offset(d, m_alpha, m_theta, _offset_rng(exp.seed, N, j))
         for j in range(exp.offsets)

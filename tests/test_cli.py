@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 from quadsums.cli import main
 
@@ -70,6 +71,25 @@ def test_nyquist_grid_over_max_cells_exits_2():
     )
     assert code == 2 and out == ""
     assert "exceeds max_cells" in err
+
+
+def test_over_budget_grid_refused_before_sequence_is_built():
+    # the (2N+1)^2 = 2001^2 sequence alone would take 64 MB
+    args = ["--form", "diag:1,-1", "--family", "ones", "--N", "1000",
+            "--grid", "nyquist", "--max-cells", "1000"]
+    for cmd in ("moment", "truncated", "levelset"):
+        tracemalloc.start()
+        try:
+            code, out, err = _run([cmd] + args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "cannot fit one alpha slice" in err
+        assert peak < 8 * 2**20, (cmd, peak)
+    # a negative N is refused as such, not as a slice of -1999^2 cells
+    code, _, err = _run(["moment", "--N", "-1000", "--grid", "nyquist"])
+    assert code == 2 and "--N must be >= 0" in err
 
 
 def test_nonpositive_C_exits_2():

@@ -12,6 +12,7 @@ from quadsums import (
     SmoothWeight,
     TorusGrid,
     delta_sequence,
+    expsum,
     extension_direct,
     gauss_sum,
     gauss_sum_table,
@@ -203,6 +204,7 @@ def test_nondiagonal_form_ignores_factors():
 
 def test_field_chunks_tile_alpha_axis():
     seq = ones_sequence(1, 2)
+    budget_cells = expsum._CHUNK_BYTES // 16
     for grid, chunk in (
         (TorusGrid(1, 10, 5, (0.0, 0.0)), 4),
         (TorusGrid(1, 1500, 3000, (0.0, 0.0)), None),
@@ -211,14 +213,15 @@ def test_field_chunks_tile_alpha_axis():
         for start, vals in iter_field_chunks(LINE, seq, grid, chunk=chunk):
             assert start == nxt
             assert vals.shape[1:] == (grid.m_theta,)
-            assert vals.size <= 2**21
+            assert vals.nbytes <= expsum._CHUNK_BYTES
             nxt += vals.shape[0]
             sizes.append(vals.shape[0])
         assert nxt == grid.m_alpha
         if chunk is not None:
             assert sizes == [4, 4, 2]
         else:
-            assert len(sizes) == 3
+            # as many whole slices per chunk as fit the budget (18 chunks at 4 MiB)
+            assert len(sizes) == -(-grid.m_alpha // (budget_cells // grid.m_theta))
     # the tiling changes no bit of the field, down to one-alpha chunks at radius 1
     rng = np.random.default_rng(17)
     cross = parse_form_spec("mat:2:0,1,1,0")
@@ -232,6 +235,78 @@ def test_field_chunks_tile_alpha_axis():
         whole = _field(form, seq, grid)
         for chunk in (1, 3):
             assert _field(form, seq, grid, chunk).tobytes() == whole.tobytes()
+
+
+def test_field_chunks_stay_within_byte_budget():
+    # a 9.4M-cell separable grid: streaming it, bare or through scan_field,
+    # holds about one chunk at a time, not a slab of the field
+    seq = ones_sequence(2, 16).normalized()
+    grid = TorusGrid(2, 1000, 97, (0.0, 0.0, 0.0))
+    assert grid.total_cells >= 8 * 2**20
+
+    def bare_loop():
+        for _, vals in iter_field_chunks(HYPER, seq, grid):
+            vals.sum()
+
+    def scan():
+        moments.scan_field(
+            HYPER, seq, grid, p_values=(6.0,), thresholds=((6.0, 2.0),),
+            lambdas=(1.0, 2.0),
+        )
+
+    for run in (bare_loop, scan):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * expsum._CHUNK_BYTES, (run.__name__, peak)
+
+
+@pytest.mark.parametrize(
+    "spec, seq, grid",
+    [
+        ("diag:1,-1", ones_sequence(2, 4), TorusGrid(2, 300, 33, (0.0,) * 3)),
+        (
+            "mat:2:0,1,1,0",
+            random_unit_sequence(2, 4, seed=5),
+            TorusGrid(2, 300, 33, (0.3, 0.1, 0.7)),
+        ),
+        ("diag:1,1,-1", ones_sequence(3, 2), TorusGrid(3, 150, 13, (0.0,) * 4)),
+    ],
+    ids=["separable", "general", "d3"],
+)
+def test_results_do_not_depend_on_chunk_budget(monkeypatch, spec, seq, grid):
+    # the old 32 MiB slabs, the 4 MiB budget, and one alpha slice per chunk
+    form = parse_form_spec(spec)
+    assert grid.total_cells > 2**18
+    slice_bytes = 16 * grid.m_theta**grid.dim
+    fields, scans = [], []
+    for budget in (32 * 2**20, 4 * 2**20, slice_bytes):
+        monkeypatch.setattr(expsum, "_CHUNK_BYTES", budget)
+        chunks = [v for _, v in iter_field_chunks(form, seq, grid)]
+        assert len(chunks) == -(-grid.m_alpha // max(1, budget // slice_bytes))
+        field = np.concatenate(chunks)
+        mags = np.sort(np.abs(field).ravel())
+        cut = float(mags[9 * mags.size // 10])
+        fields.append(field)
+        scans.append(
+            moments.scan_field(
+                form, seq, grid, p_values=(2.0, 4.0, 6.0),
+                thresholds=((4.0, cut), (6.0, cut)),
+                lambdas=(0.0, float(mags[mags.size // 2]), cut, float(mags[-1])),
+            )
+        )
+    first, scan0 = fields[0], scans[0]
+    for field, scan in zip(fields[1:], scans[1:]):
+        assert field.tobytes() == first.tobytes()
+        assert scan.sup == scan0.sup
+        assert scan.levels == scan0.levels
+        for key in scan0.moments:
+            assert scan.moments[key] == pytest.approx(scan0.moments[key], rel=1e-14)
+        for key in scan0.truncated:
+            assert scan.truncated[key] == pytest.approx(scan0.truncated[key], rel=1e-14)
 
 
 def test_field_phases_exact_at_large_k_times_R():

@@ -1,5 +1,7 @@
 """Scaling experiments over N and log-log slope fits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,22 @@ def test_per_N_failure_isolation():
     assert res.failures[0][0] == 16
     assert "600" in res.failures[0][1]
     assert res.failures[0][1].startswith("ValueError: ")
+
+
+def test_refused_N_builds_no_sequence():
+    # N = 1000 is refused by the budget before its 2001^2 sequence is built
+    exp = ScalingExperiment(
+        HYPER, "ones", (2, 3, 1000), p=4.0, grid_policy="budgeted",
+        max_cells=600, offsets=1,
+    )
+    tracemalloc.start()
+    try:
+        res = run_experiment(exp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [n for n, _ in res.failures] == [1000]
+    assert peak < 8 * 2**20
 
 
 def test_budgeted_report_exact_means_grid_exactness():
