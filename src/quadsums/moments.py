@@ -10,13 +10,16 @@ The oracle folds sparse buckets: mixed-radix int64 keys binned with
 whose nonzero coefficients share one value take a counting path in integers
 (exact for 0/1 coefficients); others fold real and imaginary parts in
 float64. Its `max_entries` budget caps the key table, which bounds memory but
-not work.
+not work. A diagonal form with a product sequence whose factors are constant
+on their supports (ones, delta) is counted per axis instead: one 2-D fold and
+one FFT correlation per distinct factor support, combined in exact integers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -88,10 +91,19 @@ def even_moment_exact(
     for 0/1 coefficients. Other coefficients fold their real and imaginary
     parts in float64, in a fixed order, so the result is reproducible.
 
+    A diagonal form (d >= 2) with a sequence that declares `factors`, each
+    constant on its support, takes the factorized count of `_product_count`
+    instead, with the same count * |c|^p finish; there `max_entries` caps
+    each axis table rather than the d-dimensional one.
+
     `max_entries` caps the final key table, so it bounds memory, not work;
     over it the call raises ValueError.
     """
     k = _even_p(p) // 2
+    product = _product_supports(form, source)
+    if product is not None:
+        supports, c = product
+        return _scaled_count(_product_count(form, supports, k, max_entries), c, k)
     a_nz, coords, r_nz = _support(form, source)
     if a_nz.size == 0:
         return 0.0
@@ -101,10 +113,7 @@ def even_moment_exact(
     final_shape = (k * span_r + 1,) + (k * width + 1,) * source.dim
     total = int(np.prod([np.int64(s) for s in final_shape]))
     if total > max_entries:
-        raise ValueError(
-            f"even-moment key table needs {total} entries, over the budget "
-            f"{max_entries}; use the grid method (scan_field)"
-        )
+        raise ValueError(_over_budget(total, max_entries))
     point_keys = (r_nz - rmin).astype(np.int64)
     for axis in range(source.dim):
         point_keys = point_keys * final_shape[1 + axis] + coords[axis]
@@ -122,10 +131,160 @@ def even_moment_exact(
     if float(np.dot(w, w)) >= 2.0**62:
         raise ArithmeticError("sum of squared tuple counts leaves int64")
     counts = w.astype(np.int64)
-    c = a_nz[0]
-    # count * |c|^p in exact rationals, rounded once
+    return _scaled_count(int(np.dot(counts, counts)), a_nz[0], k)
+
+
+def _over_budget(total: int, max_entries: int) -> str:
+    return (
+        f"even-moment key table needs {total} entries, over the budget "
+        f"{max_entries}; use the grid method (scan_field)"
+    )
+
+
+def _scaled_count(count: int, c: complex, k: int) -> float:
+    """count * |c|^(2k) in exact rationals, rounded once."""
     abs_c2 = Fraction(float(c.real)) ** 2 + Fraction(float(c.imag)) ** 2
-    return float(int(np.dot(counts, counts)) * abs_c2**k)
+    return float(count * abs_c2**k)
+
+
+def _product_supports(form: QuadraticForm, source):
+    """(per-axis support coordinates as ascending int64 arrays, the common
+    nonzero value c) when the factorized count applies: a diagonal form,
+    d >= 2, and declared factors each constant on a nonempty support. None
+    otherwise, and when the product of the constants underflows to 0."""
+    if source.dim < 2 or source.factors is None or not form.is_diagonal():
+        return None
+    supports = []
+    for f in source.factors:
+        nz = np.flatnonzero(f)
+        if nz.size == 0 or np.any(f[nz] != f[nz[0]]):
+            return None
+        supports.append(nz - source.radius)
+    c = source.values[tuple(int(x[0]) + source.radius for x in supports)]
+    return None if c == 0 else (supports, c)
+
+
+# Bytes of the complex spectrum block in `_pair_counts`.
+_AXIS_FFT_BYTES = 2**22
+# c in the pair counts' float error bound (c log2(n_fft) + n_s) 2^-53 C(0).
+_FFT_ERROR = 8.0
+
+
+def _pair_counts(support: np.ndarray, k: int, max_entries: int) -> np.ndarray:
+    """C(t), t = 0, 1, ...: pairs of k-tuples from the integer set `support`
+    with equal sums of n whose sums of v(n) = n(n-1)/2 differ by t; C is even.
+
+    Since n^2 = 2 v(n) + n, pairs with equal sums of n have sums of n^2
+    differing by 2t exactly when their sums of v differ by t, and v spans
+    half the range of n^2. `_fold` builds the k-fold table W(v, s) of tuple
+    counts by sum of v and sum s of n, on s-major keys; then
+    C(t) = sum over s of the autocorrelation of W(., s) at lag t, from one
+    real FFT per row, zero-padded to n_fft >= 2 n_v - 1 so that nothing
+    wraps, with the power spectra summed over s in blocks of
+    `_AXIS_FFT_BYTES`. Every |C(t)| is at most C(0) = sum W^2, and the float
+    error of each C(t) is at most (_FFT_ERROR log2(n_fft) + n_s) 2^-53 C(0):
+    the FFTs add the log term, the sum of n_s nonnegative spectra the other.
+    Rounding to int64 is exact while that bound is below 1/4; past it, or if
+    a residual exceeds it, the call raises ArithmeticError. A table of n_v
+    x n_s entries over `max_entries` raises ValueError.
+    """
+    v = support * (support - 1) // 2
+    v_lo, x_lo = int(v.min()), int(support[0])
+    n_v = k * (int(v.max()) - v_lo) + 1
+    n_s = k * (int(support[-1]) - x_lo) + 1
+    if n_v * n_s > max_entries:
+        raise ValueError(_over_budget(n_v * n_s, max_entries))
+    # ascending with the support, since v - v_lo < n_v
+    point_keys = (support - x_lo) * n_v + (v - v_lo)
+    keys, w = np.zeros(1, dtype=np.int64), np.ones(1)
+    for _ in range(k):
+        keys, w = _fold(keys, w, point_keys, None)
+    n_fft = 1 << (2 * n_v - 2).bit_length()
+    bound = (_FFT_ERROR * math.log2(n_fft) + n_s) * 2.0**-53 * float(np.dot(w, w))
+    if bound >= 0.25:
+        raise ArithmeticError(f"pair counts past the exact FFT range (bound {bound})")
+    rows = max(1, _AXIS_FFT_BYTES // (16 * (n_fft // 2 + 1)))
+    row_of, col_of = np.divmod(keys, n_v)
+    cuts = np.searchsorted(row_of, np.arange(0, n_s + rows, rows))
+    power = np.zeros(n_fft // 2 + 1)
+    for b in range(cuts.size - 1):
+        lo, hi = cuts[b], cuts[b + 1]
+        block = np.zeros((min(rows, n_s - b * rows), n_fft))
+        block[row_of[lo:hi] - b * rows, col_of[lo:hi]] = w[lo:hi]
+        spec = np.fft.rfft(block, axis=1)
+        power += (spec.real**2 + spec.imag**2).sum(axis=0)
+    corr = np.fft.irfft(power, n_fft)[:n_v]
+    counts = np.rint(corr)
+    if np.max(np.abs(corr - counts)) > bound:
+        raise ArithmeticError("pair-count residual over its float error bound")
+    return counts.astype(np.int64)
+
+
+def _product_count(form: QuadraticForm, supports, k: int, max_entries: int) -> int:
+    """Pairs of k-tuples from the product of `supports` with equal keys
+    (sum R(n), sum n), for the diagonal form R = sum c_i n_i^2.
+
+    Axis by axis, equal sums of n leave sum c_i n_i^2 equal exactly when
+    sum c_i t_i = 0 for the per-axis lags t_i of `_pair_counts`, so the count
+    is sum over such t of prod C_i(t_i). Each C_i is even, so the signs of
+    the c_i drop out: dilating C_i by |c_i| gives D_i(|c_i| t) = C_i(t), and
+    the count is the full convolution of the D_i at 0. The first d - 1 are
+    convolved exactly (`_exact_convolve`); the last enters by one dot product
+    of Python ints. C_i is built once per distinct support.
+    """
+    tables = {}
+    dilated = []
+    for i, support in enumerate(supports):
+        key = support.tobytes()
+        if key not in tables:
+            tables[key] = _pair_counts(support, k, max_entries)
+        half = tables[key]
+        full = np.concatenate([half[:0:-1], half])
+        step = abs(form.matrix[i][i])
+        d = np.zeros(step * (full.size - 1) + 1, dtype=np.int64)
+        d[::step] = full
+        dilated.append(d)
+    g = dilated[0]
+    for d in dilated[1:-1]:
+        g = _exact_convolve(g, d)
+    last = dilated[-1]
+    # both even about their centres: the convolution at 0 is a plain dot
+    m = min(g.size, last.size) // 2
+    gc, lc = g.size // 2, last.size // 2
+    return sum(
+        map(
+            operator.mul,
+            g[gc - m : gc + m + 1].tolist(),
+            last[lc - m : lc + m + 1].tolist(),
+        )
+    )
+
+
+def _exact_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Full convolution of two arrays of nonnegative integers (int64 or
+    Python ints), exact.
+
+    In int64 when max(x) sum(y) or sum(x) max(y), which bounds every entry
+    and every partial sum, is below 2^63. Otherwise both are split into
+    b-bit limbs, with b such that a sum of min(len) limb products stays below
+    2^63; the limb convolutions run in int64 and are recombined as Python
+    ints.
+    """
+    if min(int(x.max()) * sum(y.tolist()), sum(x.tolist()) * int(y.max())) < 2**63:
+        return np.convolve(x.astype(np.int64), y.astype(np.int64))
+    b = (63 - min(x.size, y.size).bit_length()) // 2
+    mask = (1 << b) - 1
+
+    def limbs(a):
+        a = a.astype(object)
+        n = -(-int(a.max()).bit_length() // b)
+        return [((a >> (b * j)) & mask).astype(np.int64) for j in range(n)]
+
+    out = np.zeros(x.size + y.size - 1, dtype=object)
+    for i, xi in enumerate(limbs(x)):
+        for j, yj in enumerate(limbs(y)):
+            out += np.convolve(xi, yj).astype(object) << (b * (i + j))
+    return out
 
 
 def _fold(keys, w, point_keys, point_w):
@@ -183,14 +342,24 @@ def representation_count(form: QuadraticForm, source, p: int) -> RepresentationC
 
     For 0/1 coefficients this is the even moment itself; otherwise the count
     refers to the support indicator and `weighted` is set. The indicator takes
-    the oracle's counting path, so the count is summed in integers.
+    the oracle's counting path, so the count is summed in integers; it keeps
+    the factors of a product source, as the indicators of its factors, so a
+    diagonal form takes the factorized count.
     """
     vals = source.values.ravel()
     nz = vals[vals != 0]
     weighted = bool(np.any(nz != 1.0))
-    indicator = CoefficientSequence(
-        source.dim, source.radius, (source.values != 0).astype(np.complex128)
-    )
+    support = (source.values != 0).astype(np.complex128)
+    factors = None
+    if source.factors is not None:
+        factors = tuple((f != 0).astype(np.complex128) for f in source.factors)
+    try:
+        indicator = CoefficientSequence(
+            source.dim, source.radius, support, factors=factors
+        )
+    except ValueError:
+        # a product of nonzero factor values underflowed to 0 in `values`
+        indicator = CoefficientSequence(source.dim, source.radius, support)
     # a module-global lookup, so a replaced moments.even_moment_exact is used
     moment = even_moment_exact(form, indicator, p)
     if moment >= 2.0**53:
@@ -418,8 +587,10 @@ def build_report(
     Full and truncated moments and level measures are means over the grids,
     `sup` is their max, and `spread` is the larger relative spread of the full
     and truncated moments (0.0 for one grid). Even p also runs the exact
-    counting oracle, budget permitting; the full moment then reports the
-    exact value. `exact` says whether the first grid is Nyquist-exact for the
+    counting oracle; the full moment then reports the exact value, unless the
+    oracle refuses (ValueError, over its key-table budget) or leaves its
+    exact arithmetic range (ArithmeticError), and the grid mean stands.
+    `exact` says whether the first grid is Nyquist-exact for the
     sequence's radius. N is the weight's N for a SmoothWeight and the radius
     otherwise.
     """
@@ -452,8 +623,8 @@ def build_report(
         try:
             oracle_val = even_moment_exact(form, source, int(p))
             full = oracle_val
-        except ValueError:
-            pass  # key table over budget: the grid mean stands
+        except (ValueError, ArithmeticError):
+            pass  # over the key-table budget or the exact range: the grid mean stands
     first = grids[0]
     return MomentReport(
         form_matrix=form.matrix,

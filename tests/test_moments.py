@@ -1,7 +1,10 @@
 """Moment computations: exact key-folding route vs brute force and grids."""
 
+import functools
 import itertools
 import json
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,8 +202,16 @@ def test_even_moment_budget():
     assert moments.even_moment_exact(LINE, seq, 4, max_entries=81) == want
     with pytest.raises(ValueError, match="use the grid method"):
         moments.even_moment_exact(LINE, seq, 4, max_entries=80)
+    # coefficients without product structure fold the whole d-dim key table
     with pytest.raises(ValueError, match="use the grid method"):
-        moments.even_moment_exact(HYPER, ones_sequence(2, 64), 8)
+        moments.even_moment_exact(HYPER, random_unit_sequence(2, 64, seed=3), 8)
+    # the factorized path caps each axis table: ones on [-3, 3] at p = 4 has
+    # (2 * 6 + 1) sums of n(n-1)/2 by (2 * 6 + 1) sums of n
+    seq = ones_sequence(2, 3)
+    want = _brute_even_moment(HYPER, seq, 4)
+    assert moments.even_moment_exact(HYPER, seq, 4, max_entries=169) == want
+    with pytest.raises(ValueError, match="use the grid method"):
+        moments.even_moment_exact(HYPER, seq, 4, max_entries=168)
 
 
 def test_counting_path_overflow_guards(monkeypatch):
@@ -232,6 +243,156 @@ def test_representation_count():
     assert rnd.weighted is True
     rnd4 = moments.representation_count(HYPER, random_unit_sequence(2, 2, seed=1), 4)
     assert rnd4.count == _brute_even_moment(HYPER, ones_sequence(2, 2), 4)
+
+
+def test_representation_count_keeps_the_product_structure(monkeypatch):
+    seen = []
+    exact = moments.even_moment_exact
+
+    def spy(form, seq, p):
+        seen.append(seq.factors is not None)
+        return exact(form, seq, p)
+
+    monkeypatch.setattr(moments, "even_moment_exact", spy)
+    cases = [
+        (HYPER, ones_sequence(2, 8), 4),
+        (parse_form_spec("diag:1,1,-1"), ones_sequence(3, 3), 4),
+        (HYPER, SmoothWeight(2, 3), 4),
+        (HYPER, delta_sequence(2, 3).normalized(), 6),
+    ]
+    for form, seq, p in cases:
+        rep = moments.representation_count(form, seq, p)
+        flat = _without_factors((seq.values != 0).astype(float))
+        assert rep.count == exact(form, flat, p)
+    assert seen == [True] * len(cases)
+    # factors whose product underflows: the indicator of the stored values
+    tiny = np.full(5, 1e-200)
+    seq = CoefficientSequence(2, 2, np.multiply.outer(tiny, tiny), factors=(tiny, tiny))
+    assert moments.representation_count(HYPER, seq, 4).count == 0
+    assert moments.even_moment_exact(HYPER, seq, 4) == 0.0
+
+
+def _without_factors(values):
+    values = np.asarray(values)
+    return CoefficientSequence(values.ndim, (values.shape[0] - 1) // 2, values)
+
+
+def _product(*factors):
+    return CoefficientSequence(
+        len(factors), (len(factors[0]) - 1) // 2,
+        functools.reduce(np.multiply.outer, factors), factors=factors,
+    )
+
+
+def test_factorized_count_matches_sparse_fold():
+    forms = [parse_form_spec(s) for s in ("diag:1,-1", "diag:2,-3", "diag:1,1,-1")]
+    for form in forms:
+        d = form.dim
+        for N in (1, 2, 3) if d == 2 else (1, 2):
+            seqs = (ones_sequence(d, N), ones_sequence(d, N).normalized(),
+                    delta_sequence(d, N))
+            for seq in seqs:
+                assert moments._product_supports(form, seq) is not None
+                flat = _without_factors(seq.values)
+                assert moments._product_supports(form, flat) is None
+                for p in (2, 4, 6):
+                    got = moments.even_moment_exact(form, seq, p)
+                    assert got == moments.even_moment_exact(form, flat, p)
+                    if seq is seqs[0] and (d == 2 or N == 1 or p < 6):
+                        assert got == _brute_even_moment(form, seq, p)
+
+
+def test_factorized_count_on_gapped_asymmetric_factors():
+    # supports {-2, 0, 1}, {-1, 2} and {2}, with dyadic constants, so the
+    # brute-force bucket sums are exact too
+    f1 = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+    f2 = np.array([0.0, 0.5, 0.0, 0.0, 0.5])
+    f3 = np.array([0.0, 0.0, 0.0, 0.0, -0.25j])
+    cases = [
+        ("diag:1,-1", (f1, f2)),
+        ("diag:2,-3", (f2, f1)),
+        ("diag:1,1", (f1, f1)),
+        ("diag:1,1,-1", (f1, f2, f3)),
+        ("diag:1,-2,1,-1", (f1, f2, f1, f2)),
+    ]
+    for spec, factors in cases:
+        form = parse_form_spec(spec)
+        seq = _product(*factors)
+        assert moments._product_supports(form, seq) is not None
+        for p in (2, 4, 6):
+            if form.dim == 4 and p == 6:
+                continue
+            got = moments.even_moment_exact(form, seq, p)
+            assert got == moments.even_moment_exact(form, _without_factors(seq.values), p)
+            assert got == _brute_even_moment(form, seq, p)
+
+
+def test_factorized_path_leaves_other_inputs_on_the_sparse_fold():
+    assert moments._product_supports(LINE, ones_sequence(1, 3)) is None
+    assert moments._product_supports(HYPER, SmoothWeight(2, 2)) is None
+    assert moments._product_supports(HYPER, random_unit_sequence(2, 2, seed=0)) is None
+    assert moments._product_supports(HYPER, diagonal_extremizer(2, 3, 1)) is None
+    twisted = parse_form_spec("mat:2:0,1,1,0")
+    assert moments._product_supports(twisted, ones_sequence(2, 2)) is None
+
+
+def test_factorized_count_pinned_values():
+    # diag:1,-1, ones, p = 6; the N = 64 count is past 2^53, so the moment
+    # (a float) is count rounded once
+    for N, want in ((32, 349_902_832_774_801), (64, 84_054_828_864_123_729)):
+        seq = ones_sequence(2, N)
+        supports, c = moments._product_supports(HYPER, seq)
+        assert moments._product_count(HYPER, supports, 3, 2**26) == want
+        assert moments.even_moment_exact(HYPER, seq, 6) == float(want)
+    seq = ones_sequence(2, 32).normalized()
+    c = seq.values[0, 0]
+    abs_c2 = Fraction(float(c.real)) ** 2 + Fraction(float(c.imag)) ** 2
+    want = float(349_902_832_774_801 * abs_c2**3)
+    assert moments.even_moment_exact(HYPER, seq, 6) == want
+
+
+def test_factorized_count_float_bound(monkeypatch):
+    seq = ones_sequence(2, 2)
+    grid = moments.nyquist_grid(HYPER, 2, 2, 4)
+    good = moments.build_report(HYPER, seq, [grid], 4.0)
+    assert good.oracle_full == _brute_even_moment(HYPER, seq, 4)
+    monkeypatch.setattr(moments, "_FFT_ERROR", 2.0**60)
+    with pytest.raises(ArithmeticError, match="exact FFT range"):
+        moments.even_moment_exact(HYPER, seq, 4)
+    # build_report keeps the grid mean when the oracle cannot be exact
+    rep = moments.build_report(HYPER, seq, [grid], 4.0)
+    assert rep.oracle_full is None and rep.full_moment == rep.grid_full
+
+
+def test_exact_convolve_int64_and_limbs():
+    rng = np.random.default_rng(5)
+    for hi in (2**20, 2**40, 2**62):
+        x = rng.integers(0, hi, size=37, dtype=np.int64)
+        y = rng.integers(0, hi, size=23, dtype=np.int64)
+        want = [
+            sum(int(x[i]) * int(y[n - i]) for i in range(x.size) if 0 <= n - i < y.size)
+            for n in range(x.size + y.size - 1)
+        ]
+        got = moments._exact_convolve(x, y)
+        assert got.dtype == (np.int64 if hi == 2**20 else object)
+        assert got.tolist() == want
+        # Python-int operands past int64 take the limb path too
+        big = x.astype(object) << 70
+        assert moments._exact_convolve(big, y).tolist() == [w << 70 for w in want]
+
+
+def test_factorized_oracle_memory():
+    # the axis table at N = 64, p = 6 has 6241 x 385 entries; its dense fold
+    # level and the FFT blocks stay well below the d-dim table's 2.2e8
+    seq = ones_sequence(2, 64).normalized()
+    tracemalloc.start()
+    try:
+        got = moments.even_moment_exact(HYPER, seq, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got > 0.0
+    assert peak < 64 * 2**20
 
 
 def test_nyquist_sizes_and_sufficiency():
