@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -364,7 +365,52 @@ def test_factorized_count_float_bound(monkeypatch):
     assert rep.oracle_full is None and rep.full_moment == rep.grid_full
 
 
-def test_exact_convolve_int64_and_limbs():
+def test_factorized_refusal_skips_the_last_fold(monkeypatch):
+    # diag:1,-1 ones at p = 8, N = 128: the axis table is 33,025 x 1,025
+    # (a 258 MiB dense accumulator at the last fold), and the float error
+    # model at |S|^2 sum W_3^2 is past 1/4, so the call refuses after three
+    # of the four folds
+    seq = ones_sequence(2, 128)
+    folds = []
+    fold = moments._fold
+
+    def counted(*args):
+        folds.append(args[0].size)
+        return fold(*args)
+
+    monkeypatch.setattr(moments, "_fold", counted)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArithmeticError, match="exact FFT range"):
+            moments.even_moment_exact(HYPER, seq, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(folds) == 3
+    assert peak < 8 * 33_025 * 1_025
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="exact FFT range"):
+        moments.even_moment_exact(HYPER, seq, 8)
+    assert time.perf_counter() - start < 2.5
+
+
+def test_factorized_count_checksum(monkeypatch):
+    # a pair count off by one integer leaves no residual; the exact sum of C
+    # over all lags catches it
+    seq = ones_sequence(2, 3)
+    irfft = np.fft.irfft
+
+    def off_by_one(power, n_fft):
+        corr = irfft(power, n_fft)
+        corr[1] += 1.0
+        return corr
+
+    monkeypatch.setattr(np.fft, "irfft", off_by_one)
+    with pytest.raises(ArithmeticError, match="checksum"):
+        moments.even_moment_exact(HYPER, seq, 4)
+
+
+def test_exact_convolve_int64_and_python_ints():
     rng = np.random.default_rng(5)
     for hi in (2**20, 2**40, 2**62):
         x = rng.integers(0, hi, size=37, dtype=np.int64)
@@ -376,7 +422,7 @@ def test_exact_convolve_int64_and_limbs():
         got = moments._exact_convolve(x, y)
         assert got.dtype == (np.int64 if hi == 2**20 else object)
         assert got.tolist() == want
-        # Python-int operands past int64 take the limb path too
+        # Python-int operands past int64 are convolved as Python ints too
         big = x.astype(object) << 70
         assert moments._exact_convolve(big, y).tolist() == [w << 70 for w in want]
 
