@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 from dataclasses import dataclass
 from math import ceil, gcd, prod
 from typing import Iterator, Sequence
@@ -36,9 +37,17 @@ __all__ = [
     "major_arc_approx",
 ]
 
-# Bytes of one field chunk by default: 2^18 complex128 cells, small enough
+# Bytes of one field chunk by default: 2^17 complex128 cells, small enough
 # that a chunk is still in cache when its consumer reads it back.
-_CHUNK_BYTES = 4 * 2**20
+_CHUNK_BYTES = 2 * 2**20
+
+# Threads that compute field chunks: with 2, the next chunk is computed on a
+# worker thread while the consumer reads the current one. The chunks do not
+# depend on it, so neither does any value.
+_WORKERS = min(
+    2,
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+)
 
 
 @functools.lru_cache(maxsize=64)
@@ -143,7 +152,9 @@ def iter_field_chunks(
     F = prod_i f_i(c_i alpha, theta_i).
 
     `chunk` defaults to as many alpha slices as fit in `_CHUNK_BYTES`; a
-    slice larger than that is still yielded whole, one per chunk.
+    slice larger than that is still yielded whole, one per chunk. With
+    `_WORKERS` = 2 the chunk after the one yielded is computed meanwhile on
+    a worker thread; each chunk is allocated here and filled there.
     """
     d, r, m, m_alpha = source.dim, source.radius, grid.m_theta, grid.m_alpha
     if grid.dim != d:
@@ -155,6 +166,8 @@ def iter_field_chunks(
         )
     if chunk is None:
         chunk = max(1, _CHUNK_BYTES // (16 * m**d))
+    elif isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
+        raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
     roots = np.exp(2j * np.pi * np.arange(m_alpha) / m_alpha)
     o = grid.offset
     if source.factors is not None and form.is_diagonal():
@@ -166,15 +179,45 @@ def iter_field_chunks(
     else:
         pieces = [(_r_grid(form, r), source.values, o[1:])]
     boxes = [(_twist(R, a, o[0], th), R % m_alpha) for R, a, th in pieces]
-    for start in range(0, m_alpha, chunk):
-        k = np.arange(start, min(start + chunk, m_alpha), dtype=np.int64)
+
+    def compute(start: int, out: np.ndarray) -> None:
+        # the only place a chunk is computed. It may run on the worker thread,
+        # so it calls no public name: a tracer that patches those keeps one
+        # single-threaded span stack
+        k = np.arange(start, start + len(out), dtype=np.int64)
+        if len(boxes) == 1:
+            _chunk_fft(boxes[0], k, roots, m, out)
+            return
         parts = []
         for i, box in enumerate(boxes):
-            # box i starts at theta axis i: the d-dim box fills all d axes
+            # box i starts at theta axis i
             vals = _chunk_fft(box, k, roots, m)
             shape = vals.shape[:1] + (1,) * i + vals.shape[1:]
             parts.append(vals.reshape(shape + (1,) * (d + 1 - len(shape))))
-        yield start, functools.reduce(np.multiply, parts)
+        np.multiply(functools.reduce(np.multiply, parts[:-1]), parts[-1], out=out)
+
+    jobs = (
+        (start, np.empty((min(chunk, m_alpha - start),) + (m,) * d, dtype=np.complex128))
+        for start in range(0, m_alpha, chunk)
+    )
+    if _WORKERS < 2 or m_alpha <= chunk:
+        for start, out in jobs:
+            compute(start, out)
+            yield start, out
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    # leaving the block, also by close() or an error, waits for the worker
+    with ThreadPoolExecutor(1) as pool:
+        ahead = None
+        for start, out in jobs:
+            job = (pool.submit(compute, start, out), start, out)
+            if ahead is not None:
+                ahead[0].result()
+                yield ahead[1:]
+            ahead = job
+        ahead[0].result()
+        yield ahead[1:]
 
 
 def _twist(
@@ -190,9 +233,14 @@ def _twist(
 
 
 def _chunk_fft(
-    box: tuple[np.ndarray, np.ndarray], k: np.ndarray, roots: np.ndarray, m: int
+    box: tuple[np.ndarray, np.ndarray],
+    k: np.ndarray,
+    roots: np.ndarray,
+    m: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The box's sum at alpha indices k on the m^e theta grid.
+    """The box's sum at alpha indices k on the m^e theta grid, in `out` if
+    given (shape (len(k),) + (m,)*e, complex128).
 
     base(n) is twisted by the root-table entry e(j/m_alpha), j = k R(n) mod
     m_alpha (exact in int64, so no phase error grows with k R(n)), placed at
@@ -201,7 +249,8 @@ def _chunk_fft(
     """
     base, r_mod = box
     e, r = base.ndim, (base.shape[0] - 1) // 2
-    vals = np.zeros((len(k),) + (m,) * e, dtype=np.complex128)
+    vals = np.empty((len(k),) + (m,) * e, dtype=np.complex128) if out is None else out
+    vals.fill(0)
     twist = roots[np.multiply.outer(k, r_mod) % len(roots)]
     # one product over the whole box: numpy rounds a one-element product by
     # another loop, so per-corner products would make values depend on chunk

@@ -8,6 +8,7 @@ from pathlib import Path
 from quadsums import (
     SmoothWeight,
     TorusGrid,
+    expsum,
     moments,
     ones_sequence,
     parse_form_spec,
@@ -66,3 +67,42 @@ def test_field_spans_count_every_cell(monkeypatch):
         field = [s for s in tracer.take() if s.name == spans.FIELD]
         assert field
         assert sum(s.counts.get("cells", 0) for s in field) == grid.total_cells
+
+
+def test_field_spans_close_in_order_with_a_worker(monkeypatch):
+    # with the next chunk computed on a worker thread, every field span still
+    # opens and closes on the consumer's thread, one per chunk, in order
+    spans = _load_spans(monkeypatch)
+    monkeypatch.setattr(expsum, "_WORKERS", 2)
+    cases = (
+        (parse_form_spec("diag:1,-1"), ones_sequence(2, 8), TorusGrid(2, 385, 49, (0.0,) * 3)),
+        (
+            parse_form_spec("mat:2:0,1,1,0"),
+            random_unit_sequence(2, 6, seed=3),
+            TorusGrid(2, 600, 41, (0.3, 0.1, 0.7)),
+        ),
+    )
+    for form, source, grid in cases:
+        tracer = spans.Tracer()
+        try:
+            spans.install(tracer)
+            moments.scan_field(form, source, grid, p_values=(2.0,))
+            # criterion 07 reads the chunks itself, outside any scan
+            for _ in expsum.iter_field_chunks(form, source, grid):
+                pass
+        finally:
+            tracer.uninstall()
+        recorded = tracer.take()  # raises if a span is still open
+        field = [s for s in recorded if s.name == spans.FIELD]
+        assert len(field) >= 2 * 7
+        for s in recorded:
+            assert s.start <= s.end
+            if s.parent >= 0:
+                outer = recorded[s.parent]
+                assert outer.start <= s.start and s.end <= outer.end
+        for a, b in zip(field, field[1:]):
+            assert a.end <= b.start
+        in_scan = [s for s in field if s.parent >= 0]
+        assert all(recorded[s.parent].name == spans.SCAN for s in in_scan)
+        for group in (in_scan, [s for s in field if s.parent < 0]):
+            assert sum(s.counts.get("cells", 0) for s in group) == grid.total_cells

@@ -1,6 +1,9 @@
 """Exponential sums: grids vs direct summation, complete sums, integrals."""
 
+import contextlib
+import io
 import itertools
+import threading
 import tracemalloc
 from math import gcd
 
@@ -11,6 +14,7 @@ from quadsums import (
     CoefficientSequence,
     SmoothWeight,
     TorusGrid,
+    cli,
     delta_sequence,
     expsum,
     extension_direct,
@@ -220,7 +224,7 @@ def test_field_chunks_tile_alpha_axis():
         if chunk is not None:
             assert sizes == [4, 4, 2]
         else:
-            # as many whole slices per chunk as fit the budget (18 chunks at 4 MiB)
+            # as many whole slices per chunk as fit the budget (35 chunks at 2 MiB)
             assert len(sizes) == -(-grid.m_alpha // (budget_cells // grid.m_theta))
     # the tiling changes no bit of the field, down to one-alpha chunks at radius 1
     rng = np.random.default_rng(17)
@@ -278,12 +282,13 @@ def test_field_chunks_stay_within_byte_budget():
     ids=["separable", "general", "d3"],
 )
 def test_results_do_not_depend_on_chunk_budget(monkeypatch, spec, seq, grid):
-    # the old 32 MiB slabs, the 4 MiB budget, and one alpha slice per chunk
+    # the old 32 MiB slabs and 4 MiB chunks, the 2 MiB budget, and one alpha
+    # slice per chunk
     form = parse_form_spec(spec)
     assert grid.total_cells > 2**18
     slice_bytes = 16 * grid.m_theta**grid.dim
     fields, scans = [], []
-    for budget in (32 * 2**20, 4 * 2**20, slice_bytes):
+    for budget in (32 * 2**20, 4 * 2**20, 2 * 2**20, slice_bytes):
         monkeypatch.setattr(expsum, "_CHUNK_BYTES", budget)
         chunks = [v for _, v in iter_field_chunks(form, seq, grid)]
         assert len(chunks) == -(-grid.m_alpha // max(1, budget // slice_bytes))
@@ -307,6 +312,111 @@ def test_results_do_not_depend_on_chunk_budget(monkeypatch, spec, seq, grid):
             assert scan.moments[key] == pytest.approx(scan0.moments[key], rel=1e-14)
         for key in scan0.truncated:
             assert scan.truncated[key] == pytest.approx(scan0.truncated[key], rel=1e-14)
+
+
+# multi-chunk grids on both engine branches: the separable boxes (the CLI's
+# diag:1,-1 ones N=8 Nyquist grid), the general d-dim box, and d = 3
+WORKER_CASES = [
+    ("diag:1,-1", ones_sequence(2, 8), TorusGrid(2, 385, 49, (0.0,) * 3)),
+    (
+        "mat:2:0,1,1,0",
+        random_unit_sequence(2, 6, seed=3),
+        TorusGrid(2, 600, 41, (0.3, 0.1, 0.7)),
+    ),
+    ("diag:1,1,-1", ones_sequence(3, 3), TorusGrid(3, 200, 19, (0.2, 0.4, 0.6, 0.8))),
+]
+
+
+def test_results_do_not_depend_on_worker_count(monkeypatch):
+    # computing the next chunk on a worker thread changes no bit of the
+    # field, of a scan or of the CLI's output
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(expsum, "_WORKERS", workers)
+        fields, scans = [], []
+        for spec, seq, grid in WORKER_CASES:
+            form = parse_form_spec(spec)
+            chunks = [v for _, v in iter_field_chunks(form, seq, grid)]
+            assert len(chunks) >= 7
+            field = np.concatenate(chunks)
+            mags = np.sort(np.abs(field).ravel())
+            cut = float(mags[9 * mags.size // 10])
+            fields.append(field.tobytes())
+            scans.append(
+                moments.scan_field(
+                    form, seq, grid, p_values=(2.0, 4.0, 6.0),
+                    thresholds=((4.0, cut), (6.0, cut)),
+                    lambdas=(0.0, float(mags[mags.size // 2]), cut, float(mags[-1])),
+                )
+            )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(
+                ["moment", "--form", "diag:1,-1", "--family", "ones",
+                 "--N", "8", "--p", "6", "--grid", "nyquist"]
+            )
+        assert code == 0 and "grid=385x49^2" in out.getvalue()
+        runs.append((fields, scans, out.getvalue()))
+    (fields1, scans1, out1), (fields2, scans2, out2) = runs
+    assert fields1 == fields2
+    for one, two in zip(scans1, scans2):
+        assert one.sup == two.sup
+        assert one.moments == two.moments
+        assert one.truncated == two.truncated
+        assert one.levels == two.levels
+    assert out1 == out2
+
+
+def test_bad_chunk_rejected():
+    # range(0, m, -1) is empty: a negative chunk would yield no field at all
+    seq, grid = ones_sequence(1, 2), TorusGrid(1, 10, 5, (0.0, 0.0))
+    for chunk in (0, -1, True, 2.0, "3"):
+        with pytest.raises(ValueError, match="chunk must be a positive integer"):
+            next(iter_field_chunks(LINE, seq, grid, chunk=chunk))
+    # a numpy integer is a size, as for TorusGrid
+    sizes = [v.shape[0] for _, v in iter_field_chunks(LINE, seq, grid, chunk=np.int64(3))]
+    assert sizes == [3, 3, 3, 1]
+
+
+def test_field_worker_lifecycle(monkeypatch):
+    # the worker thread lives exactly as long as its generator: it ends when
+    # the generator is closed early, runs out, or raises
+    monkeypatch.setattr(expsum, "_WORKERS", 2)
+    seq, grid = WORKER_CASES[0][1:]
+    baseline = threading.active_count()
+    gen = iter_field_chunks(HYPER, seq, grid)
+    next(gen)
+    assert threading.active_count() == baseline + 1
+    gen.close()
+    assert threading.active_count() == baseline
+    assert sum(v.shape[0] for _, v in iter_field_chunks(HYPER, seq, grid)) == grid.m_alpha
+    assert threading.active_count() == baseline
+    # a one-chunk grid starts no thread
+    small = TorusGrid(2, 20, 17, (0.0,) * 3)
+    gen = iter_field_chunks(HYPER, ones_sequence(2, 4), small)
+    next(gen)
+    assert threading.active_count() == baseline
+    gen.close()
+
+    # two boxes per chunk: the third call computes chunk 1, on the worker
+    calls, real = [], expsum._chunk_fft
+
+    def failing(*args, **kwargs):
+        calls.append(threading.current_thread())
+        if len(calls) == 3:
+            raise FloatingPointError("third chunk_fft call")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(expsum, "_chunk_fft", failing)
+    gen = iter_field_chunks(HYPER, seq, grid)
+    start, vals = next(gen)
+    assert start == 0
+    with pytest.raises(FloatingPointError, match="third chunk_fft call"):
+        next(gen)
+    assert threading.active_count() == baseline
+    assert threading.current_thread() not in calls
+    with pytest.raises(StopIteration):
+        next(gen)
 
 
 def test_field_phases_exact_at_large_k_times_R():
