@@ -172,7 +172,9 @@ class MollifierFamily:
         self.dyadic_Q = tuple(1 << k for k in range(self.N1.bit_length()))
         self._fractions = self._enumerate_fractions()
         self._assert_disjoint()
-        self._centres = [a / q for _, a, q, _ in self._fractions]
+        # per-fraction tables of the pointwise evaluation, in centre order
+        self._centres = np.array([a / q for _, a, q, _ in self._fractions])
+        self._scales = np.array([float(Q * self.N) for *_, Q in self._fractions])
         self._totients = {
             Q: sum(_totient(q) for q in range(Q, 2 * Q)) for Q in self.dyadic_Q
         }
@@ -262,9 +264,9 @@ class MollifierFamily:
             x += 1.0
         return x
 
-    def _holder(self, x: float) -> tuple[int, int, int] | None:
-        """(a, q, Q) of the fraction whose support a/q +- 2/(QN) holds folded
-        x, or None.
+    def _holder(self, x: float) -> int | None:
+        """Index of the fraction whose support a/q +- 2/(QN) holds folded x,
+        or None.
 
         The supports are disjoint, so a support that reached x past a nearer
         centre would hold that centre too: only the two centres around x can
@@ -273,9 +275,9 @@ class MollifierFamily:
         if not isfinite(x):
             raise ValueError("alpha must be finite")
         i = bisect.bisect(self._centres, x)
-        for _, a, q, Q in self._fractions[max(i - 1, 0) : i + 1]:
-            if abs(Q * self.N * (x - a / q)) < 2:
-                return a, q, Q
+        for j in range(max(i - 1, 0), min(i + 1, len(self._centres))):
+            if abs(self._scales[j] * (x - self._centres[j])) < 2:
+                return j
         return None
 
     def phi_s(self, s: int, x):
@@ -293,25 +295,45 @@ class MollifierFamily:
         """Phi_{Q,s}(alpha) = sum over fractions q ~ Q of phi_s(alpha - a/q)."""
         self._check_block(Q, s)
         x = self.fold(alpha)
-        hit = self._holder(x)
-        if hit is None or hit[2] != Q:
+        j = self._holder(x)
+        if j is None or self._fractions[j][3] != Q:
             return 0.0
-        a, q, _ = hit
-        return float(self.phi_s(s, x - a / q))
+        return float(self.phi_s(s, x - self._centres[j]))
 
     def lambda_rho(self, alpha: float) -> tuple[float, float]:
         """(lambda, rho) at alpha via the collapsed telescoped form
         lambda = kappa(Q N (alpha - a/q)) at the one fraction holding alpha."""
         x = self.fold(alpha)
-        hit = self._holder(x)
-        if hit is None:
+        j = self._holder(x)
+        if j is None:
             return 0.0, 1.0
-        a, q, Q = hit
-        lam = float(bump(Q * self.N * (x - a / q)))
+        lam = bump(self._scales[j] * (x - self._centres[j]))
         return lam, 1.0 - lam
 
     def rho_values(self, alphas: Iterable[float]) -> np.ndarray:
-        return np.array([self.lambda_rho(a)[1] for a in alphas])
+        """rho at every alpha in one pass, equal to lambda_rho(alpha)[1] bit
+        for bit: the same fold, holder search and one bump call."""
+        alpha = np.asarray(
+            alphas if isinstance(alphas, np.ndarray) else list(alphas), dtype=float
+        )
+        if not np.isfinite(alpha).all():
+            raise ValueError("alpha must be finite")
+        rho = np.ones_like(alpha)
+        n = len(self._centres)
+        if n == 0:
+            return rho
+        x = alpha % 1.0
+        x[x <= 1.0 / (2 * self.N1)] += 1.0
+        i = np.searchsorted(self._centres, x, side="right")
+        # the two centres around x, the left one first as in _holder (at
+        # either end both are the one end centre)
+        left, right = np.maximum(i - 1, 0), np.minimum(i, n - 1)
+        t_left = self._scales[left] * (x - self._centres[left])
+        t_right = self._scales[right] * (x - self._centres[right])
+        t = np.where(np.abs(t_left) < 2, t_left, t_right)
+        held = np.abs(t) < 2
+        rho[held] = 1.0 - bump(t[held])
+        return rho
 
     # -- integrals and Fourier data
 
@@ -381,9 +403,9 @@ class MollifierFamily:
         fraction holding alpha is the only one to test.
         """
         x = self.fold(alpha)
-        hit = self._holder(x)
-        if hit is not None:
-            a, q, Q = hit
+        j = self._holder(x)
+        if j is not None:
+            _, a, q, Q = self._fractions[j]
             if q <= self.N1 and abs(x - a / q) <= float(self.c1) / (q * self.N):
                 return ArcLabel("major", a=a, q=q, Q=Q, beta=x - a / q)
         return ArcLabel("minor")
@@ -454,8 +476,11 @@ def partition_identity_check(
     rng = np.random.default_rng(seed)
     span = 2.5 / (Q * fam.N)
     x = rng.uniform(-span, span, size=samples)
+    # kappa(2^s N x) once per shell, phi_s = kappa_s - kappa_{s+1} as phi_s
+    # forms it (x * 2 * 2^s N is x * 2^{s+1} N exactly); kappa_Q is the target
+    kappa = [bump(x * float((1 << s) * fam.N)) for s in fam.s_range(Q)]
     total = np.zeros_like(x)
-    for s in fam.s_range(Q):
-        total = total + fam.phi_s(s, x)
-    target = bump(Q * fam.N * x)
-    return float(np.abs(total - target).max())
+    for inner, outer in zip(kappa, kappa[1:]):
+        total = total + (inner - outer)
+    total = total + kappa[-1]
+    return float(np.abs(total - kappa[0]).max())

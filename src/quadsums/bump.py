@@ -42,12 +42,30 @@ def _mollifier(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _transition(u: np.ndarray) -> np.ndarray:
+    """S on 1-d u, every entry in (-1, 1) or NaN: one 96-node row per point,
+    each reduced on its own, so a value never depends on the other points."""
+    # map [-1, u] onto the fixed rule; integrand vanishes to all orders
+    # at the endpoints so the fixed order is ample (checked vs mpmath)
+    half = 0.5 * (u + 1.0)
+    t = -1.0 + half[:, None] * (_GL_NODES[None, :] + 1.0)
+    vals = np.einsum("ij,j->i", _mollifier(t), _GL_WEIGHTS)
+    return np.clip(vals * half / _MOLLIFIER_MASS, 0.0, 1.0)
+
+
 def smoothstep(u):
     """S(u) = int_{-1}^{u} exp(-1/(1-t^2)) dt / int_{-1}^{1}, clipped to [0,1].
 
     S is C-infinity, increasing, S(-1) = 0, S(0) = 1/2, S(1) = 1.
     """
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    if isinstance(u, float) or np.ndim(u) == 0:
+        u = float(u)
+        if u <= -1.0:
+            return 0.0
+        if u >= 1.0:
+            return 1.0
+        return float(_transition(np.array([u]))[0])
+    u_arr = np.asarray(u, dtype=float)
     out = np.empty_like(u_arr)
     lo = u_arr <= -1.0
     hi = u_arr >= 1.0
@@ -55,16 +73,8 @@ def smoothstep(u):
     out[hi] = 1.0
     mid = ~(lo | hi)
     if np.any(mid):
-        um = u_arr[mid]
-        # map [-1, um] onto the fixed rule; integrand vanishes to all orders
-        # at the endpoints so the fixed order is ample (checked vs mpmath)
-        half = 0.5 * (um + 1.0)
-        t = -1.0 + half[:, None] * (_GL_NODES[None, :] + 1.0)
-        vals = _mollifier(t) @ _GL_WEIGHTS
-        out[mid] = np.clip(vals * half / _MOLLIFIER_MASS, 0.0, 1.0)
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return float(out[0])
-    return out.reshape(np.shape(u))
+        out[mid] = _transition(u_arr[mid])
+    return out
 
 
 class SmoothBump:
@@ -78,8 +88,14 @@ class SmoothBump:
         self._ft_cache: dict[float, float] = {}
 
     def __call__(self, x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        ax = np.abs(x_arr)
+        if isinstance(x, float) or np.ndim(x) == 0:
+            ax = abs(float(x))
+            if ax <= 1.0:
+                return 1.0
+            if ax >= 2.0:
+                return 0.0
+            return smoothstep(3.0 - 2.0 * ax)
+        ax = np.abs(np.asarray(x, dtype=float))
         out = np.empty_like(ax)
         flat = ax <= 1.0
         dead = ax >= 2.0
@@ -88,9 +104,7 @@ class SmoothBump:
         mid = ~(flat | dead)
         if np.any(mid):
             out[mid] = smoothstep(3.0 - 2.0 * ax[mid])
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(out[0])
-        return out.reshape(np.shape(x))
+        return out
 
     @property
     def mass(self) -> float:

@@ -263,6 +263,58 @@ def test_partition_of_unity():
         assert np.abs(total - 1.0).max() <= 1e-12
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_rho_values_match_lambda_rho():
+    # the one vectorized pass against the pointwise route, bit for bit: the
+    # support edges and centres of test_Phi_Qs_matches_literal_sum, both ends
+    # of the fold window, and shifted copies below 0 and above 1
+    rng = np.random.default_rng(1902)
+    families = [MollifierFamily(N) for N in (16, 48, 256)]
+    families.append(MollifierFamily(64, c1=Fraction(1, 32)))
+    for fam in families:
+        N, N1 = fam.N, fam.N1
+        alphas = [np.nextafter(1 / (2 * N1), 1.0), 1 / (2 * N1), 1 + 1 / (2 * N1)]
+        alphas += [0.0, -0.0, 1.0, -1.0, 2.0, 1e-300, -1e-300]
+        for _, a, q, Q in fam._fractions:
+            c = a / q
+            alphas.append(c)
+            for t in (1.5, 1.99, 2 - 2.0**-40, 2.0):
+                alphas += [c - t / (Q * N), c + t / (Q * N)]
+        alphas = np.array(alphas + list(rng.random(500)))
+        alphas = np.concatenate([alphas, alphas - 1.0, alphas + 1.0, alphas - 3.0])
+        want = [fam.lambda_rho(float(alpha))[1] for alpha in alphas]
+        got = fam.rho_values(alphas)
+        assert got.shape == alphas.shape and _bits(got) == _bits(want), N
+        assert _bits(fam.rho_values(list(alphas[:50]))) == _bits(want[:50])
+        # the held points in the transition band are there, not just 0 and 1
+        assert np.sum((got > 0.0) & (got < 1.0)) > len(fam._fractions)
+    bare = MollifierFamily(8)
+    assert _bits(bare.rho_values([0.0, 0.3, -2.5])) == _bits([1.0, 1.0, 1.0])
+    for fam in (families[0], bare):
+        assert fam.rho_values([]).shape == (0,)
+        assert fam.rho_values(np.array([])).shape == (0,)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                fam.rho_values([0.25, bad])
+
+
+def test_partition_check_is_the_literal_shell_sum():
+    # shared shells: the check's defect is that of sum_s phi_s(x) against
+    # kappa(Q N x) on the same seeded points, bit for bit
+    for N in (16, 64, 256):
+        fam = MollifierFamily(N)
+        for Q in fam.dyadic_Q:
+            rng = np.random.default_rng(3)
+            span = 2.5 / (Q * N)
+            x = rng.uniform(-span, span, size=700)
+            literal = sum(fam.phi_s(s, x) for s in fam.s_range(Q))
+            want = float(np.abs(literal - bump(Q * N * x)).max())
+            assert partition_identity_check(fam, Q, samples=700, seed=3) == want
+
+
 def test_lambda_in_unit_interval():
     fam = MollifierFamily(64)
     rng = np.random.default_rng(5)

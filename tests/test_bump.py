@@ -75,6 +75,33 @@ def test_bump_profile():
         assert abs(bump(t) - float(_mp_kappa(t))) <= 1e-13
 
 
+def test_values_do_not_depend_on_the_batch():
+    # one row per point, reduced on its own: an array call gives each point
+    # the value of its scalar call, bit for bit, whatever shares the batch
+    rng = np.random.default_rng(19)
+    edge_u = [np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0), -1.0, 1.0, 0.0]
+    u = np.concatenate([edge_u, rng.uniform(-1.0, 1.0, 120)])
+    edge_x = [s * e for s in (1.0, -1.0) for e in (
+        1.0, np.nextafter(1.0, 2.0), 2.0, np.nextafter(2.0, 1.0), 1.5)]
+    x = np.concatenate([edge_x, rng.uniform(-2.5, 2.5, 120)])
+    for fn, pts in ((smoothstep, u), (bump, x)):
+        single = np.array([fn(float(v)) for v in pts])
+        assert np.array_equal(single, [fn(np.float64(v)) for v in pts])
+        assert np.array_equal(single, [fn(np.array(v)) for v in pts])
+        for k in (1, 2, 3, 7, 16, 33, 64, 100):
+            for off in (0, 1, 5, 17):
+                got = fn(pts[off : off + k])
+                assert got.tobytes() == single[off : off + k].tobytes(), (fn, k, off)
+        assert fn(pts.reshape(5, -1)).tobytes() == single.tobytes()
+
+
+def test_nan_stays_nan():
+    for fn in (smoothstep, bump):
+        assert np.isnan(fn(float("nan")))
+        got = fn(np.array([0.5, np.nan, 1.5]))
+        assert np.isnan(got[1]) and not np.isnan(got[[0, 2]]).any()
+
+
 def test_bump_mass():
     # int kappa = 3 exactly from S(u) + S(-u) = 1; cross-check by quadrature
     assert bump.mass == 3.0

@@ -505,6 +505,38 @@ def test_grid_moment_matches_exact():
         assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
 
+def _random_cross_forms(d, count, rng):
+    """Nondegenerate symmetric integer forms, entries in [-2, 2], each with a
+    nonzero off-diagonal entry."""
+    forms = []
+    while len(forms) < count:
+        m = np.triu(rng.integers(-2, 3, size=(d, d)))
+        m = m + np.triu(m, 1).T
+        if not np.any(np.triu(m, 1)):
+            continue
+        try:
+            forms.append(QuadraticForm(m.tolist()))
+        except ValueError:  # determinant zero
+            continue
+    return forms
+
+
+def test_grid_moment_matches_exact_on_cross_forms():
+    # non-diagonal forms in d = 2 and d = 3: the grid's p = 4 moment against
+    # the exact count, and p = 2 against Parseval
+    rng = np.random.default_rng(1901)
+    for d, r in ((2, 2), (3, 1)):
+        for k, form in enumerate(_random_cross_forms(d, 3, rng)):
+            seq = random_unit_sequence(d, r, seed=100 * d + k)
+            scan = moments.scan_field(
+                form, seq, moments.nyquist_grid(form, r, d, 4), p_values=(2.0, 4.0)
+            )
+            want = moments.even_moment_exact(form, seq, 4)
+            assert abs(scan.moments[4.0] - want) <= 1e-9 * want, form.matrix
+            norm2 = seq.l2_norm**2
+            assert abs(scan.moments[2.0] - norm2) <= 1e-9 * norm2, form.matrix
+
+
 def test_truncated_moment_monotone_in_C():
     seq = ones_sequence(1, 4)
     grid = moments.nyquist_grid(LINE, 4, 1, 4)
