@@ -88,23 +88,11 @@ class SmoothBump:
         self._ft_cache: dict[float, float] = {}
 
     def __call__(self, x):
-        if isinstance(x, float) or np.ndim(x) == 0:
-            ax = abs(float(x))
-            if ax <= 1.0:
-                return 1.0
-            if ax >= 2.0:
-                return 0.0
-            return smoothstep(3.0 - 2.0 * ax)
-        ax = np.abs(np.asarray(x, dtype=float))
-        out = np.empty_like(ax)
-        flat = ax <= 1.0
-        dead = ax >= 2.0
-        out[flat] = 1.0
-        out[dead] = 0.0
-        mid = ~(flat | dead)
-        if np.any(mid):
-            out[mid] = smoothstep(3.0 - 2.0 * ax[mid])
-        return out
+        """kappa(x) for a number (returned as a float) or a numpy array.
+
+        S(u) is 1 for u >= 1 (|x| <= 1) and 0 for u <= -1 (|x| >= 2). The
+        builtin abs keeps a scalar call off numpy's ufunc path."""
+        return smoothstep(3.0 - 2.0 * abs(x))
 
     @property
     def mass(self) -> float:

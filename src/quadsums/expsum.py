@@ -146,10 +146,11 @@ def iter_field_chunks(
     The sum is carried by boxes [-r, r]^e, each twisted once per call at the
     grid offset by `_twist`, paired with R(n) mod m_alpha and transformed per
     chunk of alpha indices by `_chunk_fft`;
-    a chunk is the broadcast product of the boxes' chunks. In general there is
-    one d-dim box (R(n), a(n)). A diagonal form with a sequence that declares
-    `factors` a_i has d 1-D boxes (c_i n^2, a_i), since then
-    F = prod_i f_i(c_i alpha, theta_i).
+    a chunk is the broadcast product of the boxes' chunks. A sequence that
+    declares `factors` a_i has one box per block B of the form, (R_B(n_B),
+    prod_{i in B} a_i(n_i)) on B's own theta axes, since then F = prod_B F_B;
+    any other has one d-dim box (R(n), a(n)). So a diagonal form has d 1-D
+    boxes and an irreducible form one box.
 
     `chunk` defaults to as many alpha slices as fit in `_CHUNK_BYTES`; a
     slice larger than that is still yielded whole, one per chunk. With
@@ -170,15 +171,17 @@ def iter_field_chunks(
         raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
     roots = np.exp(2j * np.pi * np.arange(m_alpha) / m_alpha)
     o = grid.offset
-    if source.factors is not None and form.is_diagonal():
-        n = np.arange(-r, r + 1, dtype=np.int64)
-        pieces = [
-            (form.matrix[i][i] * n * n, a_i, o[1 + i : 2 + i])
-            for i, a_i in enumerate(source.factors)
-        ]
-    else:
-        pieces = [(_r_grid(form, r), source.values, o[1:])]
-    boxes = [(_twist(R, a, o[0], th), R % m_alpha) for R, a, th in pieces]
+    blocks = form.blocks if source.factors is not None else ((tuple(range(d)), form),)
+    boxes, shapes = [], []
+    for ax, block in blocks:
+        R = _r_grid(block, r)
+        if len(ax) == d:
+            a = source.values
+        else:
+            a = functools.reduce(np.multiply.outer, [source.factors[i] for i in ax])
+        boxes.append((_twist(R, a, o[0], [o[1 + i] for i in ax]), R % m_alpha))
+        # a box's axes are ascending, so its values reshape onto them
+        shapes.append((-1,) + tuple(m if i in ax else 1 for i in range(d)))
 
     def compute(start: int, out: np.ndarray) -> None:
         # the only place a chunk is computed. It may run on the worker thread,
@@ -188,12 +191,7 @@ def iter_field_chunks(
         if len(boxes) == 1:
             _chunk_fft(boxes[0], k, roots, m, out)
             return
-        parts = []
-        for i, box in enumerate(boxes):
-            # box i starts at theta axis i
-            vals = _chunk_fft(box, k, roots, m)
-            shape = vals.shape[:1] + (1,) * i + vals.shape[1:]
-            parts.append(vals.reshape(shape + (1,) * (d + 1 - len(shape))))
+        parts = [_chunk_fft(b, k, roots, m).reshape(s) for b, s in zip(boxes, shapes)]
         np.multiply(functools.reduce(np.multiply, parts[:-1]), parts[-1], out=out)
 
     jobs = (
@@ -358,42 +356,42 @@ def _integral_batch(
     product set gamma in values[0] x ... x values[d-1], one 1-D array of
     gamma_i per axis; the result has shape (len(values[0]), ...).
 
+    The integrand is a product over the blocks of the form, so the table is
+    the outer product of one table per block, transposed back to axis order.
     e(N gamma . x) is a product over the axes, so each axis builds one phase
-    row e(N u x_i) per value u. Diagonal forms factor into 1-d rules and the
-    table is the outer product of their integrals. Otherwise the weighted core
-    e(beta N^2 R) prod_i w_i eta(x_i) is built in slabs of the first node axis
-    and each slab is contracted against the phase rows, leading node axis first.
+    row e(N u x_i) per value u. A block's weighted core e(beta N^2 R_B)
+    prod_i w_i eta(x_i) is built in slabs of its first node axis and each
+    slab is contracted against the block's phase rows, leading node axis
+    first. A block whose rule has more than `max_nodes` nodes, or whose table
+    has more than `max_nodes` entries, raises ValueError.
     """
     rules = [_composite_rule(o) for o in orders]
     rows = [np.exp(2j * np.pi * N * np.outer(u, x)) for u, (x, _) in zip(values, rules)]
-    if form.is_diagonal():
-        integrals = []
-        for i, ((x, w), row) in enumerate(zip(rules, rows)):
-            ci = form.matrix[i][i]
-            f = w * bump(x) * np.exp(2j * np.pi * beta * N * N * ci * x * x)
-            integrals.append(row @ f)
-        return functools.reduce(np.multiply.outer, integrals)
-    total = prod(len(x) for x, _ in rules)
-    entries = prod(len(row) for row in rows)
-    if max(total, entries) > max_nodes:
-        raise ValueError(
-            f"tensor quadrature grid of {total} nodes (table of {entries} "
-            f"entries) exceeds {max_nodes}"
-        )
-    axes = [x for x, _ in rules]
-    weights = [w * bump(x) for x, w in rules]
-    step = max(1, 2**20 // (total // len(axes[0])))
-    table = 0.0
-    for j in range(0, len(axes[0]), step):
-        cut = slice(j, j + step)
-        acc = (2j * np.pi * beta * N * N) * form.values_on([axes[0][cut]] + axes[1:])
-        np.exp(acc, out=acc)
-        acc *= functools.reduce(np.multiply.outer, [weights[0][cut]] + weights[1:])
-        # each contraction appends its value axis after the remaining node axes
-        for row in [rows[0][:, cut]] + rows[1:]:
-            acc = np.tensordot(acc, row, axes=([0], [1]))
-        table = table + acc
-    return table
+    tables, order = [], []
+    for ax, block in form.blocks:
+        axes = [rules[i][0] for i in ax]
+        weights = [rules[i][1] * bump(rules[i][0]) for i in ax]
+        total = prod(len(x) for x in axes)
+        entries = prod(len(rows[i]) for i in ax)
+        if max(total, entries) > max_nodes:
+            raise ValueError(
+                f"tensor quadrature grid of {total} nodes (table of {entries} "
+                f"entries) exceeds {max_nodes}"
+            )
+        step = max(1, 2**20 // (total // len(axes[0])))
+        table = 0.0
+        for j in range(0, len(axes[0]), step):
+            cut = slice(j, j + step)
+            acc = (2j * np.pi * beta * N * N) * block.values_on([axes[0][cut]] + axes[1:])
+            np.exp(acc, out=acc)
+            acc *= functools.reduce(np.multiply.outer, [weights[0][cut]] + weights[1:])
+            # each contraction appends its value axis after the remaining node axes
+            for row in [rows[ax[0]][:, cut]] + [rows[i] for i in ax[1:]]:
+                acc = np.tensordot(acc, row, axes=([0], [1]))
+            table = table + acc
+        tables.append(table)
+        order += ax
+    return functools.reduce(np.multiply.outer, tables).transpose(np.argsort(order))
 
 
 @dataclass(frozen=True)

@@ -382,18 +382,17 @@ def _nyquist_targets(form: QuadraticForm, radius: int, p: int) -> tuple[int, int
     Alpha frequencies are differences of sums of p/2 values of R, so at most
     (p/2)(max R - min R) over the box; theta frequencies are differences of
     sums of p/2 points, so at most p * radius per axis, and p * radius + 1 >=
-    2 * radius + 1 keeps the field engine's anti-alias guard for p >= 2. A
-    diagonal form takes max R - min R = radius^2 sum |c_i| in closed form; any
-    other reads it off the cached table of R on the box, which the field
-    engine builds anyway.
+    2 * radius + 1 keeps the field engine's anti-alias guard for p >= 2.
+    max R - min R is the sum over the form's blocks of their spans, exactly,
+    since the blocks share no variables; each is read off the cached table of
+    the block's form on its own box, which the field engine builds anyway.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    if form.is_diagonal():
-        span = radius * radius * sum(abs(form.matrix[i][i]) for i in range(form.dim))
-    else:
-        R = _r_grid(form, radius)
-        span = int(R.max()) - int(R.min())
+    span = 0
+    for _, block in form.blocks:
+        R = _r_grid(block, radius)
+        span += int(R.max()) - int(R.min())
     return (p * span) // 2 + 1, p * radius + 1
 
 
@@ -596,12 +595,14 @@ def build_report(
     exact arithmetic range (ArithmeticError), and the grid mean stands.
     `exact` says whether the first grid is Nyquist-exact for the
     sequence's radius. N is the weight's N for a SmoothWeight and the radius
-    otherwise.
+    otherwise. A p or C that is not positive and finite raises ValueError.
     """
     if not np.isfinite(C):
         raise ValueError("C must be finite")
     if C <= 0:
         raise ValueError("C must be positive")
+    if not (np.isfinite(p) and p > 0):
+        raise ValueError(f"p must be positive and finite, got {p}")
     N = source.N if isinstance(source, SmoothWeight) else source.radius
     norm_a = source.l2_norm
     threshold = C * float(N) ** (source.dim / 4.0) * norm_a

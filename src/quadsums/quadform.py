@@ -29,7 +29,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Symmetric integer matrix; rejects asymmetric or degenerate input."""
+    """Symmetric integer matrix; rejects asymmetric or degenerate input.
+
+    `blocks` pairs each connected component of the graph with an edge i-j
+    where M_ij != 0 (ascending axes, ordered by the first) with the form M
+    restricted to it, so R(n) is the sum of the blocks' forms on their own
+    axes. A diagonal form is d blocks of one axis; an irreducible form is one
+    block, paired with itself.
+    """
 
     matrix: tuple[tuple[int, ...], ...]
     dim: int
@@ -62,6 +69,15 @@ class QuadraticForm:
             raise ValueError("form matrix is degenerate (determinant zero)")
         object.__setattr__(self, "matrix", tuple(tuple(r) for r in rows))
         object.__setattr__(self, "dim", d)
+        parts: list[set[int]] = []
+        for i in range(d):
+            linked = [c for c in parts if any(rows[i][j] for j in c)]
+            parts = [c for c in parts if c not in linked] + [{i}.union(*linked)]
+        blocks = []
+        for ax in sorted(tuple(sorted(c)) for c in parts):
+            sub = [[rows[i][j] for j in ax] for i in ax]
+            blocks.append((ax, self if len(ax) == d else QuadraticForm(sub)))
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     def __call__(self, n: Sequence[int]) -> int:
         return evaluate(self, n)
@@ -70,12 +86,7 @@ class QuadraticForm:
         return sum(abs(v) for row in self.matrix for v in row)
 
     def is_diagonal(self) -> bool:
-        return all(
-            self.matrix[i][j] == 0
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if i != j
-        )
+        return len(self.blocks) == self.dim
 
     def values_on(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """R on the product of the coordinate axes, in their dtype; entry

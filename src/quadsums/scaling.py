@@ -129,8 +129,9 @@ class ScalingFit:
 def _min_theta(radius: int, dim: int, max_cells: int) -> int:
     """2 * radius + 1, the fewest theta points a grid for a sequence on
     [-radius, radius]^dim may take, once one alpha slice of them fits the
-    budget. Checked before any Nyquist target is asked for: a non-diagonal
-    form's target reads a table of R on the box, as large as that slice."""
+    budget. Checked before any Nyquist target is asked for: the target reads
+    a table of each block's form on its own box, which for an irreducible
+    form is as large as that slice."""
     m_min = 2 * radius + 1
     if m_min**dim > max_cells:
         raise ValueError(

@@ -130,6 +130,16 @@ def test_nonpositive_p_budgeted_exits_2():
     assert "p must be positive and finite" in err
 
 
+def test_bad_p_on_explicit_grid_exits_2():
+    # an explicit grid skips the sizing checks; the report checks p itself
+    base = ["moment", "--form", "diag:1,-1", "--N", "2",
+            "--m-alpha", "10", "--m-theta", "10"]
+    for value in ("-2", "0", "inf", "nan"):
+        code, out, err = _run([*base, "--p", value])
+        assert code == 2 and out == "", value
+        assert "p must be positive and finite" in err
+
+
 def test_scaling_nonfinite_p_or_C_exits_2():
     base = ["scaling", "--form", "diag:1,-1", "--family", "ones",
             "--N-list", "2,3,4"]

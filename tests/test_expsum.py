@@ -206,6 +206,41 @@ def test_nondiagonal_form_ignores_factors():
     _assert_chunks_match_direct(form, seq, grid, None, 1e-13 * seq.l1_norm)
 
 
+# 2 x0 x1 + x2^2 (blocks {0, 1}, {2}) and its copy with the coupled axes at
+# {0, 2} (blocks {0, 2}, {1})
+BLOCK_FORMS = ("mat:3:0,1,0,1,0,0,0,0,1", "mat:3:0,0,1,0,1,0,1,0,0")
+
+
+def test_block_field_matches_general_engine():
+    # with factors each block is its own box on its own axes, adjacent or not
+    rng = np.random.default_rng(610)
+    for spec in BLOCK_FORMS:
+        form = parse_form_spec(spec)
+        assert len(form.blocks) == 2
+        for source in (ones_sequence(3, 3), SmoothWeight(3, 2)):
+            grid = TorusGrid.random_offset(3, 5, 2 * source.radius + 2, rng)
+            for chunk in (1, None):
+                got = _field(form, source, grid, chunk)
+                want = _field(form, _general(source), grid, chunk)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), spec
+        seq = ones_sequence(3, 1)
+        grid = TorusGrid.random_offset(3, 3, 4, rng)
+        _assert_chunks_match_direct(form, seq, grid, None, 1e-13 * seq.l1_norm)
+
+
+def test_block_nyquist_sizes_match_the_full_table():
+    # the span of R is the sum of the block spans, since blocks share no axes
+    for spec in BLOCK_FORMS:
+        form = parse_form_spec(spec)
+        for radius, p in ((3, 6), (2, 4), (0, 2)):
+            R = form.values_on_grid(radius)
+            span = int(R.max()) - int(R.min())
+            want = (p * span // 2 + 1, p * radius + 1)
+            assert moments.nyquist_sizes(form, radius, p) == want, (spec, radius)
+        assert moments.nyquist_sizes(form, 3, 6) == (136, 19)
+
+
 def test_field_chunks_tile_alpha_axis():
     seq = ones_sequence(1, 2)
     budget_cells = expsum._CHUNK_BYTES // 16
@@ -742,6 +777,36 @@ def test_major_arc_approx_d3_nondiagonal_stays_small():
         tracemalloc.stop()
     assert abs(approx.value - 1.9154513555130697) <= 1e-12 * 1.9154513555130697
     assert peak < 128 * 2**20
+
+
+def test_integral_batch_on_blocks_matches_dense_sum_and_axis_order():
+    rng = np.random.default_rng(47)
+    form, permuted = (parse_form_spec(spec) for spec in BLOCK_FORMS)
+    beta, N, orders = 0.04, 2, (8, 9, 10)
+    values = [rng.uniform(-2.0, 2.0, n) for n in (3, 2, 4)]
+    got = _integral_batch(form, beta, values, N, orders)
+    want = _integral_dense(form, beta, values, N, orders)
+    assert got.shape == (3, 2, 4)
+    assert np.abs(got - want).max() <= 1e-13
+    # swapping axes 1 and 2 of the inputs swaps them in the table, exactly
+    swapped = _integral_batch(permuted, beta, [values[0], values[2], values[1]], N,
+                              [orders[0], orders[2], orders[1]])
+    assert np.array_equal(swapped, got.transpose(0, 2, 1))
+
+
+def test_major_arc_approx_d3_blocks_past_the_full_rule():
+    # 288^3 nodes for the full d = 3 rule, over max_nodes; the blocks need
+    # 288^2 and 288
+    form = parse_form_spec(BLOCK_FORMS[0])
+    theta, N, q, m_cut = (0.1, 0.2, 0.3), 3, 2, 3
+    values = _major_arc_values(theta, q, m_cut)
+    orders = _axis_orders(form, 0.0, np.abs(theta) + 1.0 + m_cut, N)
+    assert orders == [96, 96, 96]
+    table = _integral_batch(form, 0.0, values, N, orders)
+    finer = _integral_batch(form, 0.0, values, N, [2 * o for o in orders])
+    assert np.abs(table - finer).max() <= 1e-12 * np.abs(table).max()
+    approx = major_arc_approx(form, SmoothWeight(3, N), 1, q, 0.0, theta)
+    assert np.isfinite(approx.value) and approx.terms == q**3 * (2 * m_cut + 1) ** 3
 
 
 def test_oscillatory_integral_validation():

@@ -209,3 +209,58 @@ def test_row_abs_sum_and_is_diagonal():
     assert form.row_abs_sum() == 8
     assert not form.is_diagonal()
     assert QuadraticForm(np.diag([4, 4])).is_diagonal()
+
+
+def test_blocks_of_named_forms():
+    cases = (
+        ("diag:1,-1", [((0,), ((1,),)), ((1,), ((-1,),))]),
+        ("mat:2:0,1,1,0", [((0, 1), ((0, 1), (1, 0)))]),
+        ("mat:3:1,1,0,1,2,1,0,1,-1", [((0, 1, 2), ((1, 1, 0), (1, 2, 1), (0, 1, -1)))]),
+        # 2 x0 x1 + x2^2, and the same with the coupled axes at {0, 2}
+        ("mat:3:0,1,0,1,0,0,0,0,1", [((0, 1), ((0, 1), (1, 0))), ((2,), ((1,),))]),
+        ("mat:3:0,0,1,0,1,0,1,0,0", [((0, 2), ((0, 1), (1, 0))), ((1,), ((1,),))]),
+    )
+    for spec, want in cases:
+        form = parse_form_spec(spec)
+        assert [(ax, block.matrix) for ax, block in form.blocks] == want, spec
+        assert form.is_diagonal() == (len(want) == form.dim)
+        if len(want) == 1:
+            assert form.blocks[0][1] is form
+
+
+def _connected_block(rng, size):
+    # a path of nonzero couplings keeps the block's graph connected
+    while True:
+        m = rng.integers(-3, 4, (size, size))
+        m = np.triu(m) + np.triu(m, 1).T
+        for i in range(size - 1):
+            if m[i, i + 1] == 0:
+                m[i, i + 1] = m[i + 1, i] = rng.choice([-2, -1, 1, 2])
+        try:
+            return QuadraticForm(m)
+        except ValueError:
+            continue  # degenerate
+
+
+def test_blocks_recover_permuted_block_diagonal_forms():
+    rng = np.random.default_rng(909)
+    for _ in range(60):
+        sizes = [int(s) for s in rng.integers(1, 4, rng.integers(1, 4))]
+        d = sum(sizes)
+        parts = [_connected_block(rng, s) for s in sizes]
+        # axis k of the block-diagonal matrix becomes axis perm[k]
+        perm = rng.permutation(d)
+        m = np.zeros((d, d), dtype=np.int64)
+        want, k = [], 0
+        for part, s in zip(parts, sizes):
+            axes = perm[k : k + s]
+            m[np.ix_(axes, axes)] = part.matrix
+            want.append(tuple(sorted(int(a) for a in axes)))
+            k += s
+        form = QuadraticForm(m)
+        assert [ax for ax, _ in form.blocks] == sorted(want)
+        for ax, block in form.blocks:
+            assert block.matrix == tuple(tuple(int(m[i, j]) for j in ax) for i in ax)
+        for _ in range(5):
+            n = [int(x) for x in rng.integers(-9, 10, d)]
+            assert form(n) == sum(block([n[i] for i in ax]) for ax, block in form.blocks)
