@@ -473,6 +473,8 @@ def partition_identity_check(
     """Max defect of sum_{Q <= 2^s <= N} phi_s(x) = kappa(Q N x) over `samples`
     points spanning the support and a margin beyond it."""
     fam._check_dyadic(Q)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     span = 2.5 / (Q * fam.N)
     x = rng.uniform(-span, span, size=samples)

@@ -9,16 +9,14 @@ flags and seed, so reruns reproduce output files byte for byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import re
 import sys
-from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
-from .config import RunConfig, parse_config_file, _to_float_list, _to_int_list
+from .config import OPTIONS, RunConfig, option_flag, parse_config_file
 from .quadform import parse_form_spec, diagonalize_rational, signature
 from .sequences import make_sequence, SmoothWeight
 from .expsum import (
@@ -137,6 +135,8 @@ def cmd_levelset(cfg: RunConfig) -> int:
 
 def cmd_scaling(cfg: RunConfig) -> int:
     n_list = _require(cfg, "N_list", "--N-list")
+    if not (math.isfinite(cfg.slope_tol) and cfg.slope_tol >= 0):
+        raise ValueError(f"--slope-tol must be finite and >= 0, got {cfg.slope_tol}")
     form = parse_form_spec(cfg.form or DEFAULT_FORM)
     exp = scaling.ScalingExperiment(
         form=form,
@@ -261,6 +261,9 @@ def cmd_mollifier_check(cfg: RunConfig) -> int:
 
 def cmd_arc_check(cfg: RunConfig) -> int:
     N = _require(cfg, "N", "--N")
+    for attr, flag in (("q_max", "--q-max"), ("count", "--count")):
+        if getattr(cfg, attr) < 1:
+            raise ValueError(f"{flag} must be >= 1, got {getattr(cfg, attr)}")
     form = parse_form_spec(cfg.form or DEFAULT_FORM)
     d = form.dim
     fam = MollifierFamily(N, cfg.c1)
@@ -272,7 +275,7 @@ def cmd_arc_check(cfg: RunConfig) -> int:
     for _ in range(cfg.count):
         q = int(rng.integers(1, cfg.q_max + 1))
         a = int(rng.integers(1, q + 1))
-        while gcd(a, q) != 1:
+        while math.gcd(a, q) != 1:
             a = int(rng.integers(1, q + 1))
         beta = float(rng.uniform(-0.9, 0.9)) * float(fam.c1) / (q * N)
         table = np.abs(gauss_sum_table(form, a, q))
@@ -343,27 +346,30 @@ def cmd_diagonalize(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value config file (flags override)")
-    sub.add_argument("--form", help="form spec: diag:1,-1 or mat:2:0,1,1,0")
-    sub.add_argument("--seed", type=int, dest="seed")
-    sub.add_argument("--out-csv", dest="out_csv")
-    sub.add_argument("--out-json", dest="out_json")
+COMMON = ("form", "seed", "out_csv", "out_json")
+SEQUENCE = ("family", "N", "s")
+GRID = ("grid_policy", "max_cells", "m_alpha", "m_theta")
 
-
-def _add_sequence(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--family", choices=("ones", "delta", "extremizer", "random-unit")
-    )
-    sub.add_argument("--N", type=int, dest="N")
-    sub.add_argument("--s", type=int, dest="s")
-
-
-def _add_grid(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--grid", dest="grid_policy", choices=("nyquist", "budgeted"))
-    sub.add_argument("--max-cells", type=int, dest="max_cells")
-    sub.add_argument("--m-alpha", type=int, dest="m_alpha")
-    sub.add_argument("--m-theta", type=int, dest="m_theta")
+# subcommand -> (handler, help, its run options as RunConfig fields); the
+# flags follow --config in this order
+COMMANDS = {
+    "moment": (cmd_moment, "moment moment of |F|^p on a grid",
+               (*COMMON, *SEQUENCE, *GRID, "p", "C", "lambdas")),
+    "truncated": (cmd_truncated, "truncated moment of |F|^p on a grid",
+                  (*COMMON, *SEQUENCE, *GRID, "p", "C", "lambdas")),
+    "levelset": (cmd_levelset, "level-set measure profile",
+                 (*COMMON, *SEQUENCE, *GRID, "p", "levels", "lambdas")),
+    "scaling": (cmd_scaling, "N-sweep with log-log slope fit",
+                (*COMMON, *SEQUENCE, *GRID, "N_list", "p", "C", "offsets",
+                 "measure", "slope_tol")),
+    "mollifier-check": (cmd_mollifier_check, "partition and vanishing checks",
+                        (*COMMON, "N", "c1", "Q", "samples")),
+    "arc-check": (cmd_arc_check, "major/minor arc diagnostics",
+                  (*COMMON, "N", "c1", "q_max", "count", "m_cut")),
+    "gauss-table": (cmd_gauss_table, "complete sum table S(a,b;q)",
+                    (*COMMON, "a", "q")),
+    "diagonalize": (cmd_diagonalize, "rational diagonalization of a form", COMMON),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,83 +378,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Moments and arc diagnostics of quadratic exponential sums",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("moment", "truncated"):
-        sp = subs.add_parser(name, help=f"{name} moment of |F|^p on a grid")
-        _add_common(sp)
-        _add_sequence(sp)
-        _add_grid(sp)
-        sp.add_argument("--p", type=float, dest="p")
-        sp.add_argument("--C", type=float, dest="C")
-        sp.add_argument("--lambdas", type=_to_float_list, dest="lambdas")
-
-    sp = subs.add_parser("levelset", help="level-set measure profile")
-    _add_common(sp)
-    _add_sequence(sp)
-    _add_grid(sp)
-    sp.add_argument("--p", type=float, dest="p")
-    sp.add_argument("--levels", type=int, dest="levels")
-    sp.add_argument("--lambdas", type=_to_float_list, dest="lambdas")
-
-    sp = subs.add_parser("scaling", help="N-sweep with log-log slope fit")
-    _add_common(sp)
-    _add_sequence(sp)
-    _add_grid(sp)
-    sp.add_argument("--N-list", type=_to_int_list, dest="N_list")
-    sp.add_argument("--p", type=float, dest="p")
-    sp.add_argument("--C", type=float, dest="C")
-    sp.add_argument("--offsets", type=int, dest="offsets")
-    sp.add_argument("--measure", choices=("full", "truncated"), dest="measure")
-    sp.add_argument("--slope-tol", type=float, dest="slope_tol")
-
-    sp = subs.add_parser("mollifier-check", help="partition and vanishing checks")
-    _add_common(sp)
-    sp.add_argument("--N", type=int, dest="N")
-    sp.add_argument("--c1", type=Fraction, dest="c1")
-    sp.add_argument("--Q", type=int, dest="Q")
-    sp.add_argument("--samples", type=int, dest="samples")
-
-    sp = subs.add_parser("arc-check", help="major/minor arc diagnostics")
-    _add_common(sp)
-    sp.add_argument("--N", type=int, dest="N")
-    sp.add_argument("--c1", type=Fraction, dest="c1")
-    sp.add_argument("--q-max", type=int, dest="q_max")
-    sp.add_argument("--count", type=int, dest="count")
-    sp.add_argument("--m-cut", type=int, dest="m_cut")
-
-    sp = subs.add_parser("gauss-table", help="complete sum table S(a,b;q)")
-    _add_common(sp)
-    sp.add_argument("--a", type=int, dest="a")
-    sp.add_argument("--q", type=int, dest="q")
-
-    sp = subs.add_parser("diagonalize", help="rational diagonalization of a form")
-    _add_common(sp)
-
+    for name, (_, help_text, options) in COMMANDS.items():
+        sp = subs.add_parser(name, help=help_text)
+        sp.add_argument("--config", help="key=value config file (flags override)")
+        for opt in options:
+            meta = OPTIONS[opt]
+            sp.add_argument(option_flag(opt), dest=opt, type=meta["convert"],
+                            choices=meta["choices"], help=meta["help"])
     return parser
 
 
-DISPATCH = {
-    "moment": cmd_moment,
-    "truncated": cmd_truncated,
-    "levelset": cmd_levelset,
-    "scaling": cmd_scaling,
-    "mollifier-check": cmd_mollifier_check,
-    "arc-check": cmd_arc_check,
-    "gauss-table": cmd_gauss_table,
-    "diagonalize": cmd_diagonalize,
-}
-
-
 def merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.command)
-    if getattr(args, "config", None):
-        cfg.apply(parse_config_file(args.config))
-    updates = {}
-    for f in dataclasses.fields(RunConfig):
-        if hasattr(args, f.name) and getattr(args, f.name) is not None:
-            updates[f.name] = getattr(args, f.name)
-    cfg.apply(updates)
-    return cfg
+    values = parse_config_file(args.config) if args.config else {}
+    values.update(
+        (name, value) for name, value in vars(args).items()
+        if name in OPTIONS and value is not None
+    )
+    return RunConfig(subcommand=args.command, **values)
 
 
 # argparse reads a value that starts with "-" as an option unless it looks
@@ -477,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         cfg = merge_config(args)
-        return DISPATCH[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR

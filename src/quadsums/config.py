@@ -4,16 +4,19 @@ Format: one `key = value` per line, `#` starts a comment, blank lines are
 ignored. Dotted keys group related settings (grid.policy, out.csv). Unknown
 keys are rejected with their file location; command-line flags override file
 values, which override the defaults below.
+
+Each RunConfig field that is a run option declares it once, in its field
+metadata: the converter and the choices that its config key and its flag
+share, and the key or flag where they differ from the field name. The
+config keys here and the CLI's flags are both read off those declarations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-
-def _to_int(text: str) -> int:
-    return int(text, 0)
+from .scaling import FAMILIES, GRID_POLICIES, MEASURES
 
 
 def _to_int_list(text: str) -> tuple[int, ...]:
@@ -24,36 +27,19 @@ def _to_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip() != "")
 
 
-# config key -> (RunConfig field, converter)
-KNOWN_KEYS = {
-    "form": ("form", str),
-    "family": ("family", str),
-    "seed": ("seed", _to_int),
-    "s": ("s", _to_int),
-    "N": ("N", _to_int),
-    "N_list": ("N_list", _to_int_list),
-    "p": ("p", float),
-    "C": ("C", float),
-    "c1": ("c1", Fraction),
-    "grid.policy": ("grid_policy", str),
-    "grid.max_cells": ("max_cells", _to_int),
-    "grid.m_alpha": ("m_alpha", _to_int),
-    "grid.m_theta": ("m_theta", _to_int),
-    "offsets": ("offsets", _to_int),
-    "levels": ("levels", _to_int),
-    "lambdas": ("lambdas", _to_float_list),
-    "measure": ("measure", str),
-    "tolerance.slope": ("slope_tol", float),
-    "samples": ("samples", _to_int),
-    "Q": ("Q", _to_int),
-    "q_max": ("q_max", _to_int),
-    "m_cut": ("m_cut", _to_int),
-    "count": ("count", _to_int),
-    "a": ("a", _to_int),
-    "q": ("q", _to_int),
-    "out.csv": ("out_csv", str),
-    "out.json": ("out_json", str),
-}
+def _to_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:  # "1/0": argparse catches only ValueError
+        raise ValueError(str(exc)) from None
+
+
+def _option(default, convert=str, *, choices=None, key=None, flag=None, help=None):
+    """A run option: config key `key` (default: the field name) and flag
+    `flag` (default: --field-name), both read by `convert` and checked
+    against `choices`."""
+    meta = dict(convert=convert, choices=choices, key=key, flag=flag, help=help)
+    return field(default=default, metadata=meta)
 
 
 @dataclass
@@ -61,40 +47,57 @@ class RunConfig:
     """Merged settings for one CLI invocation (defaults < config file < flags)."""
 
     subcommand: str = ""
-    form: str | None = None
-    family: str = "ones"
-    seed: int = 0
-    s: int = 1
-    N: int | None = None
-    N_list: tuple[int, ...] | None = None
-    p: float = 4.0
-    C: float = 1.0
-    c1: Fraction | None = None  # None -> MollifierFamily default
-    grid_policy: str = "budgeted"
-    max_cells: int = 50_000_000
-    m_alpha: int | None = None
-    m_theta: int | None = None
-    offsets: int = 3
-    levels: int = 16
-    lambdas: tuple[float, ...] | None = None
-    measure: str = "truncated"
-    slope_tol: float = 0.75
-    samples: int = 10_000
-    Q: int | None = None
-    q_max: int = 4
-    m_cut: int = 3
-    count: int = 20
-    a: int = 1
-    q: int = 1
-    out_csv: str | None = None
-    out_json: str | None = None
+    form: str | None = _option(None, help="form spec: diag:1,-1 or mat:2:0,1,1,0")
+    family: str = _option("ones", choices=FAMILIES)
+    seed: int = _option(0, int)
+    s: int = _option(1, int)
+    N: int | None = _option(None, int)
+    N_list: tuple[int, ...] | None = _option(None, _to_int_list)
+    p: float = _option(4.0, float)
+    C: float = _option(1.0, float)
+    # None -> MollifierFamily default
+    c1: Fraction | None = _option(None, _to_fraction)
+    grid_policy: str = _option(
+        "budgeted", choices=GRID_POLICIES, key="grid.policy", flag="--grid"
+    )
+    max_cells: int = _option(50_000_000, int, key="grid.max_cells")
+    m_alpha: int | None = _option(None, int, key="grid.m_alpha")
+    m_theta: int | None = _option(None, int, key="grid.m_theta")
+    offsets: int = _option(3, int)
+    levels: int = _option(16, int)
+    lambdas: tuple[float, ...] | None = _option(None, _to_float_list)
+    measure: str = _option("truncated", choices=MEASURES)
+    slope_tol: float = _option(0.75, float, key="tolerance.slope")
+    samples: int = _option(10_000, int)
+    Q: int | None = _option(None, int)
+    q_max: int = _option(4, int)
+    m_cut: int = _option(3, int)
+    count: int = _option(20, int)
+    a: int = _option(1, int)
+    q: int = _option(1, int)
+    out_csv: str | None = _option(None, key="out.csv")
+    out_json: str | None = _option(None, key="out.json")
 
-    def apply(self, updates: dict) -> None:
-        names = {f.name for f in fields(self)}
-        for key, value in updates.items():
-            if key not in names:
-                raise ValueError(f"no RunConfig field named {key!r}")
-            setattr(self, key, value)
+
+# RunConfig field -> its option declaration, for every run option
+OPTIONS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
+# config key -> RunConfig field
+KNOWN_KEYS = {opt["key"] or name: name for name, opt in OPTIONS.items()}
+
+
+def option_flag(name: str) -> str:
+    return OPTIONS[name]["flag"] or "--" + name.replace("_", "-")
+
+
+def read_option(name: str, text: str):
+    """The value of option `name` spelled `text`, as a config file gives it;
+    a flag goes through the same converter and the same choices."""
+    opt = OPTIONS[name]
+    value = opt["convert"](text)
+    if opt["choices"] is not None and value not in opt["choices"]:
+        listed = ", ".join(map(repr, opt["choices"]))
+        raise ValueError(f"invalid choice: {value!r} (choose from {listed})")
+    return value
 
 
 def parse_config_text(text: str, origin: str = "config") -> dict:
@@ -111,13 +114,11 @@ def parse_config_text(text: str, origin: str = "config") -> dict:
                 f"{origin}:{lineno}: expected 'key = value', got {raw.strip()!r}"
             )
         key = key.strip()
-        value = value.strip()
         if key not in KNOWN_KEYS:
             raise ValueError(f"{origin}:{lineno}: unknown config key {key!r}")
-        field_name, convert = KNOWN_KEYS[key]
         try:
-            out[field_name] = convert(value)
-        except (ValueError, ZeroDivisionError) as exc:
+            out[KNOWN_KEYS[key]] = read_option(KNOWN_KEYS[key], value.strip())
+        except ValueError as exc:
             raise ValueError(
                 f"{origin}:{lineno}: bad value for {key!r}: {exc}"
             ) from None

@@ -36,6 +36,7 @@ __all__ = [
 
 FAMILIES = ("ones", "delta", "extremizer", "random-unit")
 GRID_POLICIES = ("nyquist", "budgeted")
+MEASURES = ("full", "truncated")
 # level-set thresholds of each report, in units of N^{d/4}
 LEVEL_MULTIPLIERS = (1.0, 1.5, 2.0)
 
@@ -288,7 +289,8 @@ def fit_experiment(
         pts = [(r.N, r.truncated_moment) for r in result.reports]
         target = theo.truncated
     else:
-        raise ValueError(f"unknown measure {measure!r}, expected full|truncated")
+        expected = "|".join(MEASURES)
+        raise ValueError(f"unknown measure {measure!r}, expected {expected}")
     return fit_loglog(pts, theory_slope=target, tolerance=tolerance)
 
 

@@ -315,6 +315,13 @@ def test_partition_check_is_the_literal_shell_sum():
             assert partition_identity_check(fam, Q, samples=700, seed=3) == want
 
 
+def test_partition_check_needs_a_sample():
+    fam = MollifierFamily(64)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            partition_identity_check(fam, fam.dyadic_Q[0], samples=samples)
+
+
 def test_lambda_in_unit_interval():
     fam = MollifierFamily(64)
     rng = np.random.default_rng(5)

@@ -3,9 +3,15 @@
 import contextlib
 import io
 import json
+import re
+import shlex
 import tracemalloc
+from pathlib import Path
 
-from quadsums.cli import main
+import pytest
+
+from quadsums.cli import COMMANDS, build_parser, main, merge_config
+from quadsums.config import KNOWN_KEYS, OPTIONS, RunConfig, option_flag
 
 
 def _run(argv):
@@ -298,3 +304,148 @@ def test_outputs_are_byte_reproducible(tmp_path):
     assert out1 == out2
     assert first_json.read_bytes() == second_json.read_bytes()
     assert first_csv.read_bytes() == second_csv.read_bytes()
+
+
+def test_zero_denominator_c1_exits_2(tmp_path, capsys):
+    # a flag and a config value go through the same converter
+    with pytest.raises(SystemExit) as exc:
+        main(["mollifier-check", "--N", "16", "--c1", "1/0"])
+    assert exc.value.code == 2
+    assert "argument --c1" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c1 = 1/0\n")
+    code, out, err = _run(["mollifier-check", "--config", str(cfg), "--N", "16"])
+    assert code == 2 and out == ""
+    assert f"{cfg}:1: bad value for 'c1'" in err
+
+
+def test_config_values_checked_against_choices(tmp_path):
+    base = ["scaling", "--form", "diag:1", "--N-list", "2,4,8", "--grid", "nyquist"]
+    cfg = tmp_path / "run.cfg"
+    for key, flag, good in (("family", "--family", "ones"),
+                            ("grid.policy", "--grid", "nyquist"),
+                            ("measure", "--measure", "full")):
+        cfg.write_text(f"{key} = bogus\n")
+        # refused before any N runs, also when a flag overrides the file
+        for extra in ([], [flag, good]):
+            code, out, err = _run([*base, "--config", str(cfg), *extra])
+            assert code == 2 and out == "", (key, extra)
+            assert f"{cfg}:1: bad value for '{key}': invalid choice" in err
+            assert "failed:" not in err
+
+
+def test_bad_slope_tol_exits_2():
+    base = ["scaling", "--form", "diag:1", "--N-list", "2,4,8", "--grid", "nyquist"]
+    for value in ("nan", "-1", "inf", "-inf"):
+        code, out, err = _run([*base, "--slope-tol", value])
+        assert code == 2 and out == "", value
+        assert "--slope-tol must be finite and >= 0" in err
+        assert "failed:" not in err
+
+
+def test_counts_below_one_exit_2():
+    mollifier = ["mollifier-check", "--N", "64"]
+    arcs = ["arc-check", "--N", "16"]
+    for argv, message in (
+        ([*mollifier, "--samples", "0"], "samples must be >= 1"),
+        ([*mollifier, "--samples", "-1"], "samples must be >= 1"),
+        ([*arcs, "--q-max", "0"], "--q-max must be >= 1"),
+        ([*arcs, "--count", "0"], "--count must be >= 1"),
+        ([*arcs, "--count", "-1"], "--count must be >= 1"),
+    ):
+        code, out, err = _run(argv)
+        assert code == 2 and out == "", argv
+        assert message in err, argv
+
+
+# one valid and one invalid spelling per run option (None: any text converts);
+# an option missing here fails its case below
+OPTION_VALUES = {
+    "form": ("diag:1,1", None),
+    "family": ("extremizer", "bogus"),
+    "seed": ("7", "7.5"),
+    "s": ("2", "two"),
+    "N": ("010", "0x10"),
+    "N_list": ("2,4,8", "2,x"),
+    "p": ("6", "six"),
+    "C": ("0.5", "half"),
+    "c1": ("1/32", "1/0"),
+    "grid_policy": ("nyquist", "exact"),
+    "max_cells": ("1000", "1e3"),
+    "m_alpha": ("40", "4.0"),
+    "m_theta": ("12", "x"),
+    "offsets": ("1", "x"),
+    "levels": ("6", "x"),
+    "lambdas": ("0.5,1", "a,b"),
+    "measure": ("full", "bogus"),
+    "slope_tol": ("0.5", "x"),
+    "samples": ("100", "x"),
+    "Q": ("4", "x"),
+    "q_max": ("3", "x"),
+    "m_cut": ("2", "x"),
+    "count": ("5", "x"),
+    "a": ("2", "x"),
+    "q": ("5", "x"),
+    "out_csv": ("run.csv", None),
+    "out_json": ("run.json", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPTIONS))
+def test_flag_and_config_key_read_alike(name, tmp_path, capsys):
+    good, bad = OPTION_VALUES[name]
+    command = next(c for c, (_, _, opts) in COMMANDS.items() if name in opts)
+    key = next(k for k, field in KNOWN_KEYS.items() if field == name)
+    flag = option_flag(name)
+    cfg = tmp_path / "run.cfg"
+
+    def merged(argv):
+        return merge_config(build_parser().parse_args([command, *argv]))
+
+    cfg.write_text(f"{key} = {good}\n")
+    from_flag = getattr(merged([f"{flag}={good}"]), name)
+    from_file = getattr(merged(["--config", str(cfg)]), name)
+    assert from_flag == from_file
+    assert type(from_flag) is type(from_file)
+    assert from_flag != getattr(RunConfig(), name)
+    if bad is None:
+        return
+    with pytest.raises(SystemExit) as exc:
+        merged([f"{flag}={bad}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    cfg.write_text(f"{key} = {bad}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{cfg}:1: bad value for '{key}'")):
+        merged(["--config", str(cfg)])
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_examples():
+    """(argv, expected stdout lines) for each `$ quadsums` block; the lines
+    stop at a `...` line, which stands for the rest of the output."""
+    examples = []
+    for block in re.findall(r"```text\n(.*?)```", README, re.S):
+        cmd, *lines = block.splitlines()
+        if cmd.startswith("$ quadsums "):
+            if "..." in lines:
+                lines = lines[: lines.index("...")]
+            examples.append((shlex.split(cmd)[2:], lines))
+    return examples
+
+
+def test_readme_examples_reproduce():
+    examples = _readme_examples()
+    assert len(examples) == 6
+    for argv, lines in examples:
+        code, out, err = _run(argv)
+        assert code == 0 and err == "", argv
+        assert out.splitlines()[: len(lines)] == lines, argv
+
+
+def test_readme_config_keys_are_the_known_keys():
+    section = README.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    cells = re.findall(r"^\| (`.*?) \|", section, re.M)
+    listed = [key for cell in cells for key in re.findall(r"`([^`]+)`", cell)]
+    assert sorted(listed) == sorted(KNOWN_KEYS)
