@@ -452,10 +452,6 @@ class MollifierFamily:
         if weight.N != self.N:
             raise ValueError(f"weight N={weight.N} does not match family N={self.N}")
         lv = [int(x) for x in l]
-        if len(lv) != weight.dim:
-            raise ValueError(f"l must have length {weight.dim}")
-        if any(abs(x) > weight.radius for x in lv):
-            return 0.0
         omega_l = weight[lv].real
         b_alpha = float(frequency_bound(form, self.N))
         win = dvp_window(m, b_alpha)

@@ -116,13 +116,14 @@ def cmd_truncated(cfg: RunConfig) -> int:
 
 def cmd_levelset(cfg: RunConfig) -> int:
     N = _require(cfg, "N", "--N")
+    if cfg.lambdas == ():
+        raise ValueError("--lambdas must list at least one level")
+    if cfg.lambdas is None and cfg.levels < 1:
+        raise ValueError(f"--levels must be >= 1, got {cfg.levels}")
     form = parse_form_spec(cfg.form or DEFAULT_FORM)
     grid = _resolve_grid(cfg, form, N, cfg.p)
     seq = make_sequence(cfg.family, form.dim, N, s=cfg.s, seed=cfg.seed)
-    if cfg.lambdas is not None:
-        lams = tuple(cfg.lambdas)
-    else:
-        lams = tuple(moments.default_levels(seq, cfg.levels))
+    lams = cfg.lambdas or tuple(moments.default_levels(seq, cfg.levels))
     scan = moments.scan_field(form, seq, grid, p_values=(), lambdas=lams)
     lines = ["lambda,measure"]
     for lam, meas in scan.levels:

@@ -19,15 +19,15 @@ from fractions import Fraction
 from .scaling import FAMILIES, GRID_POLICIES, MEASURES
 
 
-def _to_int_list(text: str) -> tuple[int, ...]:
+def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip() != "")
 
 
-def _to_float_list(text: str) -> tuple[float, ...]:
+def float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip() != "")
 
 
-def _to_fraction(text: str) -> Fraction:
+def fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:  # "1/0": argparse catches only ValueError
@@ -52,11 +52,11 @@ class RunConfig:
     seed: int = _option(0, int)
     s: int = _option(1, int)
     N: int | None = _option(None, int)
-    N_list: tuple[int, ...] | None = _option(None, _to_int_list)
+    N_list: tuple[int, ...] | None = _option(None, int_list)
     p: float = _option(4.0, float)
     C: float = _option(1.0, float)
     # None -> MollifierFamily default
-    c1: Fraction | None = _option(None, _to_fraction)
+    c1: Fraction | None = _option(None, fraction)
     grid_policy: str = _option(
         "budgeted", choices=GRID_POLICIES, key="grid.policy", flag="--grid"
     )
@@ -65,7 +65,7 @@ class RunConfig:
     m_theta: int | None = _option(None, int, key="grid.m_theta")
     offsets: int = _option(3, int)
     levels: int = _option(16, int)
-    lambdas: tuple[float, ...] | None = _option(None, _to_float_list)
+    lambdas: tuple[float, ...] | None = _option(None, float_list)
     measure: str = _option("truncated", choices=MEASURES)
     slope_tol: float = _option(0.75, float, key="tolerance.slope")
     samples: int = _option(10_000, int)

@@ -346,24 +346,21 @@ def representation_count(form: QuadraticForm, source, p: int) -> RepresentationC
 
     For 0/1 coefficients this is the even moment itself; otherwise the count
     refers to the support indicator and `weighted` is set. The indicator takes
-    the oracle's counting path, so the count is summed in integers; it keeps
-    the factors of a product source, as the indicators of its factors, so a
+    the oracle's counting path, so the count is summed in integers; for a
+    product source it is built from the indicators of its factors, so a
     diagonal form takes the factorized count.
     """
-    vals = source.values.ravel()
-    nz = vals[vals != 0]
-    weighted = bool(np.any(nz != 1.0))
-    support = (source.values != 0).astype(np.complex128)
-    factors = None
-    if source.factors is not None:
-        factors = tuple((f != 0).astype(np.complex128) for f in source.factors)
-    try:
-        indicator = CoefficientSequence(
-            source.dim, source.radius, support, factors=factors
-        )
-    except ValueError:
-        # a product of nonzero factor values underflowed to 0 in `values`
+    support = source.values != 0
+    weighted = bool(np.any(support & (source.values != 1.0)))
+    if source.factors is None:
         indicator = CoefficientSequence(source.dim, source.radius, support)
+    else:
+        indicator = CoefficientSequence(
+            source.dim, source.radius, None, factors=[f != 0 for f in source.factors]
+        )
+        # a product of nonzero factor values can underflow to 0 in `values`
+        if not np.array_equal(indicator.values != 0, support):
+            indicator = CoefficientSequence(source.dim, source.radius, support)
     # a module-global lookup, so a replaced moments.even_moment_exact is used
     moment = even_moment_exact(form, indicator, p)
     if moment >= 2.0**53:

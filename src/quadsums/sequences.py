@@ -5,12 +5,12 @@ A SmoothWeight is the product sequence omega(n) = eta(n/N) with eta the
 tensor power of the shared smooth cutoff: omega = 1 on [-N,N]^d, supported in
 (-2N, 2N)^d.
 A sequence may declare itself a product a(n) = prod_i a_i(n_i) through
-`factors`; the declaration is checked exactly against the values.
+`factors`; given alone, they define the values, which are built once.
 """
 
 from __future__ import annotations
 
-import functools
+from functools import reduce
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
@@ -31,10 +31,6 @@ __all__ = [
 ]
 
 
-def _outer_product(factors: Sequence[np.ndarray]) -> np.ndarray:
-    return functools.reduce(np.multiply.outer, factors)
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     # a copy, so that the caller's own array stays writable
     v = np.array(arr, dtype=np.complex128, order="C")
@@ -47,14 +43,16 @@ class CoefficientSequence:
     """Values a(n) on [-radius, radius]^dim, index n + radius.
 
     `factors`, when given, are dim 1-D arrays of length 2*radius+1 whose outer
-    product equals `values` exactly; the field engine then evaluates F as a
-    product of 1-D sums on diagonal forms. Equality and hashing are by
-    identity, so a sequence can key a dict or sit in a set.
+    product is `values`; the field engine then evaluates F as a product of
+    1-D sums on diagonal forms. With `values` None the factors define them,
+    built once; given both, the outer product must equal `values` exactly.
+    Equality and hashing are by identity, so a sequence can key a dict or
+    sit in a set.
     """
 
     dim: int
     radius: int
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray | None = field(repr=False)
     label: str = ""
     factors: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
@@ -62,10 +60,13 @@ class CoefficientSequence:
         if self.dim < 1 or self.radius < 0:
             raise ValueError("dim must be >= 1 and radius >= 0")
         shape = (2 * self.radius + 1,) * self.dim
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.shape != shape:
-            raise ValueError(f"values shape {arr.shape} != expected {shape}")
-        object.__setattr__(self, "values", _read_only(arr))
+        if self.values is not None:
+            arr = _read_only(self.values)
+            if arr.shape != shape:
+                raise ValueError(f"values shape {arr.shape} != expected {shape}")
+            object.__setattr__(self, "values", arr)
+        elif self.factors is None:
+            raise ValueError("values may be None only when factors are given")
         if self.factors is None:
             return
         facs = tuple(_read_only(f) for f in self.factors)
@@ -73,9 +74,12 @@ class CoefficientSequence:
             raise ValueError(
                 f"factors must be {self.dim} arrays of shape {shape[:1]}"
             )
-        if not np.array_equal(_outer_product(facs), self.values):
-            raise ValueError("outer product of the factors != values")
         object.__setattr__(self, "factors", facs)
+        if self.values is None:  # built once, with nothing to check
+            object.__setattr__(self, "values", reduce(np.multiply.outer, facs))
+            self.values.setflags(write=False)
+        elif not np.array_equal(reduce(np.multiply.outer, facs), self.values):
+            raise ValueError("outer product of the factors != values")
 
     @property
     def l2_norm(self) -> float:
@@ -93,13 +97,16 @@ class CoefficientSequence:
             return CoefficientSequence(
                 self.dim, self.radius, self.values / nrm, self.label
             )
-        return _product_sequence(
-            (self.factors[0] / nrm,) + self.factors[1:], self.label
-        )
+        facs = (self.factors[0] / nrm,) + self.factors[1:]
+        return CoefficientSequence(self.dim, self.radius, None, self.label, facs)
 
     def __getitem__(self, n: Sequence[int]) -> complex:
+        """a(n), which is 0 off the box [-radius, radius]^dim."""
+        if len(n) != self.dim:
+            raise ValueError(f"index must have length {self.dim}, got {len(n)}")
         idx = tuple(int(x) + self.radius for x in n)
-        return complex(self.values[idx])
+        inside = all(0 <= i <= 2 * self.radius for i in idx)
+        return complex(self.values[idx]) if inside else 0j
 
 
 class SmoothWeight(CoefficientSequence):
@@ -110,7 +117,7 @@ class SmoothWeight(CoefficientSequence):
         if dim < 1 or N < 1:
             raise ValueError("dim and N must be positive")
         factors = (bump(np.arange(1 - 2 * N, 2 * N) / N),) * dim
-        super().__init__(dim, 2 * N - 1, _outer_product(factors), "weight", factors)
+        super().__init__(dim, 2 * N - 1, None, "weight", factors)
 
     def __repr__(self) -> str:
         return f"SmoothWeight(dim={self.dim}, N={self.N})"
@@ -130,11 +137,9 @@ class SmoothWeight(CoefficientSequence):
 def _product_sequence(
     factors: tuple[np.ndarray, ...], label: str
 ) -> CoefficientSequence:
-    """a(n) = prod_i factors[i][n_i + radius], with the factors declared."""
+    """a(n) = prod_i factors[i][n_i + radius], built from the factors."""
     radius = (len(factors[0]) - 1) // 2
-    return CoefficientSequence(
-        len(factors), radius, _outer_product(factors), label, factors
-    )
+    return CoefficientSequence(len(factors), radius, None, label, factors)
 
 
 def ones_sequence(dim: int, radius: int) -> CoefficientSequence:

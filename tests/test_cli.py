@@ -358,6 +358,31 @@ def test_counts_below_one_exit_2():
         assert message in err, argv
 
 
+def test_empty_level_ladder_exits_2():
+    levelset = ["levelset", "--form", "diag:1", "--N", "2", "--grid", "nyquist"]
+    for argv, message in (
+        ([*levelset, "--levels", "0"], "--levels must be >= 1"),
+        ([*levelset, "--levels", "-2"], "--levels must be >= 1"),
+        ([*levelset, "--lambdas=,"], "--lambdas must list at least one level"),
+    ):
+        code, out, err = _run(argv)
+        assert code == 2 and out == "", argv
+        assert message in err, argv
+
+
+def test_flag_errors_name_what_the_converter_reads(capsys):
+    for argv, flag in (
+        (["scaling", "--N-list", "2,x"], "--N-list"),
+        (["levelset", "--N", "2", "--lambdas", "a"], "--lambdas"),
+        (["mollifier-check", "--N", "16", "--c1", "x"], "--c1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid" in err and "_to_" not in err, argv
+
+
 # one valid and one invalid spelling per run option (None: any text converts);
 # an option missing here fails its case below
 OPTION_VALUES = {

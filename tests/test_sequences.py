@@ -1,6 +1,8 @@
 """Coefficient sequences, the smooth weight, and file round trips."""
 
+import functools
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from quadsums import (
 )
 from quadsums.bump import bump
 from quadsums.expsum import TorusGrid
-from quadsums.moments import build_report
+from quadsums.moments import build_report, representation_count
 from quadsums.quadform import parse_form_spec
 from quadsums.sequences import _product_sequence
 
@@ -204,3 +206,73 @@ def test_sequences_compare_by_identity():
     assert w == w and w != SmoothWeight(1, 2)
     assert len({seq, copy, w, seq}) == 3
     assert {seq: 1, copy: 2}[seq] == 1
+
+
+def test_getitem_off_the_box_reads_zero():
+    seq = random_unit_sequence(1, 3, seed=1)
+    assert seq[(3,)] == seq.values[6] and seq[(-3,)] == seq.values[0]
+    for n in ((-5,), (-4,), (4,), (100,)):
+        assert seq[n] == 0 and isinstance(seq[n], complex)
+    assert ones_sequence(2, 1)[(2, 0)] == 0 and ones_sequence(2, 1)[(0, -2)] == 0
+    for n in ((), (0, 0), (9, 9)):
+        with pytest.raises(ValueError, match="index must have length 1"):
+            seq[n]
+
+
+def test_factors_alone_build_values():
+    rng = np.random.default_rng(5)
+    cases = [
+        (rng.standard_normal(7),),
+        (rng.standard_normal(5), rng.standard_normal(5)),
+        (rng.standard_normal(3), -np.ones(3), rng.integers(-4, 5, 3)),
+        (rng.standard_normal(5), rng.standard_normal(5) + 1j * rng.standard_normal(5)),
+        (np.array([True, False, True]), np.array([1.0, -2.0, 3.0])),
+    ]
+    for fs in cases:
+        seq = CoefficientSequence(len(fs), len(fs[0]) // 2, None, factors=fs)
+        as_complex = [np.asarray(f, dtype=np.complex128) for f in fs]
+        want = functools.reduce(np.multiply.outer, as_complex)
+        assert seq.values.dtype == np.complex128 and seq.values.shape == want.shape
+        assert seq.values.tobytes() == want.tobytes()
+        assert not seq.values.flags.writeable
+        assert all(not f.flags.writeable for f in seq.factors)
+        assert all(f.flags.writeable for f in fs)
+    # nonnegative real factors, as the library's products have: the bits of
+    # the real outer product cast to complex128
+    for fs in ((np.ones(9),) * 3, (bump(np.arange(-5, 6) / 3), np.arange(11.0))):
+        seq = CoefficientSequence(len(fs), len(fs[0]) // 2, None, factors=fs)
+        want = np.asarray(functools.reduce(np.multiply.outer, fs), dtype=np.complex128)
+        assert seq.values.tobytes() == want.tobytes()
+
+
+def test_values_or_factors_must_be_given():
+    with pytest.raises(ValueError, match="values may be None only when factors are given"):
+        CoefficientSequence(2, 1, None)
+    one = np.ones(3)
+    for facs in ((), (one,), (one, one, one), (one, np.ones(4))):
+        with pytest.raises(ValueError, match="factors must be"):
+            CoefficientSequence(2, 1, None, factors=facs)
+
+
+def _peak(build):
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_product_sequences_are_built_once():
+    # peak traced bytes over the bytes of `values`: the d-dim array is
+    # allocated once, with no second outer product, copy or re-check
+    seq, peak = _peak(lambda: ones_sequence(3, 24))
+    assert peak <= 1.5 * seq.values.nbytes
+    unit, peak = _peak(seq.normalized)
+    assert peak <= 1.5 * unit.values.nbytes
+    w, peak = _peak(lambda: SmoothWeight(2, 128))
+    assert peak <= 1.5 * w.values.nbytes
+    seq = ones_sequence(4, 16)
+    form = parse_form_spec("diag:1,1,-1,-1")
+    _, peak = _peak(lambda: representation_count(form, seq, 4))
+    assert peak <= 3.0 * seq.values.nbytes
