@@ -9,6 +9,7 @@ flags and seed, so reruns reproduce output files byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -373,6 +374,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadsums",

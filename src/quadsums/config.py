@@ -48,35 +48,36 @@ class RunConfig:
 
     subcommand: str = ""
     form: str | None = _option(None, help="form spec: diag:1,-1 or mat:2:0,1,1,0")
-    family: str = _option("ones", choices=FAMILIES)
-    seed: int = _option(0, int)
-    s: int = _option(1, int)
-    N: int | None = _option(None, int)
-    N_list: tuple[int, ...] | None = _option(None, int_list)
-    p: float = _option(4.0, float)
-    C: float = _option(1.0, float)
+    family: str = _option("ones", choices=FAMILIES, help="coefficient sequence family")
+    seed: int = _option(0, int, help="RNG seed for random-unit and offsets")
+    s: int = _option(1, int, help="extremizer split parameter")
+    N: int | None = _option(None, int, help="coefficient radius")
+    N_list: tuple[int, ...] | None = _option(None, int_list, help="comma list of N")
+    p: float = _option(4.0, float, help="moment exponent")
+    C: float = _option(1.0, float, help="truncation constant")
     # None -> MollifierFamily default
-    c1: Fraction | None = _option(None, fraction)
+    c1: Fraction | None = _option(None, fraction, help="mollifier cutoff fraction")
     grid_policy: str = _option(
-        "budgeted", choices=GRID_POLICIES, key="grid.policy", flag="--grid"
+        "budgeted", choices=GRID_POLICIES, key="grid.policy", flag="--grid",
+        help="grid sizes: Nyquist, or capped at --max-cells",
     )
-    max_cells: int = _option(50_000_000, int, key="grid.max_cells")
-    m_alpha: int | None = _option(None, int, key="grid.m_alpha")
-    m_theta: int | None = _option(None, int, key="grid.m_theta")
-    offsets: int = _option(3, int)
-    levels: int = _option(16, int)
-    lambdas: tuple[float, ...] | None = _option(None, float_list)
-    measure: str = _option("truncated", choices=MEASURES)
-    slope_tol: float = _option(0.75, float, key="tolerance.slope")
-    samples: int = _option(10_000, int)
-    Q: int | None = _option(None, int)
-    q_max: int = _option(4, int)
-    m_cut: int = _option(3, int)
-    count: int = _option(20, int)
-    a: int = _option(1, int)
-    q: int = _option(1, int)
-    out_csv: str | None = _option(None, key="out.csv")
-    out_json: str | None = _option(None, key="out.json")
+    max_cells: int = _option(50_000_000, int, key="grid.max_cells", help="cell budget")
+    m_alpha: int | None = _option(None, int, key="grid.m_alpha", help="alpha grid size")
+    m_theta: int | None = _option(None, int, key="grid.m_theta", help="theta grid size")
+    offsets: int = _option(3, int, help="seeded grid offsets per N")
+    levels: int = _option(16, int, help="level-set profile size")
+    lambdas: tuple[float, ...] | None = _option(None, float_list, help="threshold list")
+    measure: str = _option("truncated", choices=MEASURES, help="fitted column")
+    slope_tol: float = _option(0.75, float, key="tolerance.slope", help="verdict window")
+    samples: int = _option(10_000, int, help="sample count for mollifier-check")
+    Q: int | None = _option(None, int, help="restrict to one dyadic block")
+    q_max: int = _option(4, int, help="largest denominator q of the major-arc points")
+    m_cut: int = _option(3, int, help="dual-sum cutoff")
+    count: int = _option(20, int, help="points drawn per arc kind")
+    a: int = _option(1, int, help="numerator a of S(a, b; q)")
+    q: int = _option(1, int, help="modulus q of S(a, b; q)")
+    out_csv: str | None = _option(None, key="out.csv", help="CSV output path")
+    out_json: str | None = _option(None, key="out.json", help="JSON output path")
 
 
 # RunConfig field -> its option declaration, for every run option

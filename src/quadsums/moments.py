@@ -10,9 +10,10 @@ The oracle folds sparse buckets: mixed-radix int64 keys binned with
 whose nonzero coefficients share one value take a counting path in integers
 (exact for 0/1 coefficients); others fold real and imaginary parts in
 float64. Its `max_entries` budget caps the key table, which bounds memory but
-not work. A diagonal form with a product sequence whose factors are constant
-on their supports (ones, delta) is counted per axis instead: one 2-D fold and
-one FFT correlation per distinct factor support, combined in exact integers.
+not work. A form of two or more blocks with a product sequence whose factors
+are constant on their supports (ones, delta) is counted per block instead:
+one fold and one FFT correlation per distinct block table, combined in exact
+integers.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from functools import reduce
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -91,10 +93,10 @@ def even_moment_exact(
     for 0/1 coefficients. Other coefficients fold their real and imaginary
     parts in float64, in a fixed order, so the result is reproducible.
 
-    A diagonal form (d >= 2) with a sequence that declares `factors`, each
-    constant on its support, takes the factorized count of `_product_count`
-    instead, with the same count * |c|^p finish; there `max_entries` caps
-    each axis table rather than the d-dimensional one.
+    A form of two or more blocks with a sequence that declares `factors`,
+    each constant on its support, takes the factorized count of
+    `_product_count` instead, with the same count * |c|^p finish; there
+    `max_entries` caps each block's table rather than the d-dimensional one.
 
     `max_entries` caps the final key table, so it bounds memory, not work;
     over it the call raises ValueError.
@@ -149,78 +151,84 @@ def _scaled_count(count: int, c: complex, k: int) -> float:
 
 def _product_supports(form: QuadraticForm, source):
     """(per-axis support coordinates as ascending int64 arrays, the common
-    nonzero value c) when the factorized count applies: a diagonal form,
-    d >= 2, and declared factors each constant on a nonempty support. None
-    otherwise, and when the product of the constants underflows to 0."""
-    if source.dim < 2 or source.factors is None or not form.is_diagonal():
+    nonzero value c) when the factorized count applies: a form of two or
+    more blocks and declared factors each constant on a nonempty support; c
+    is the product of those constants by `np.multiply`, in the order of the
+    outer product that builds `values`. None otherwise, and when c
+    underflows to 0."""
+    if len(form.blocks) < 2 or source.factors is None:
         return None
-    supports = []
+    supports, constants = [], []
     for f in source.factors:
         nz = np.flatnonzero(f)
         if nz.size == 0 or np.any(f[nz] != f[nz[0]]):
             return None
         supports.append(nz - source.radius)
-    c = source.values[tuple(int(x[0]) + source.radius for x in supports)]
+        constants.append(f[nz[0]])
+    c = reduce(np.multiply, constants)
     return None if c == 0 else (supports, c)
 
 
 # Bytes of the complex spectrum block in `_pair_counts`.
-_AXIS_FFT_BYTES = 2**22
+_PAIR_FFT_BYTES = 2**22
 # c in the pair counts' empirical float error model (c log2(n_fft) + n_s) 2^-53 C(0).
 _FFT_ERROR = 8.0
 
 
-def _pair_counts(support: np.ndarray, k: int, max_entries: int) -> np.ndarray:
-    """C(t), t = 0, 1, ...: pairs of k-tuples from the integer set `support`
-    with equal sums of n whose sums of v(n) = n(n-1)/2 differ by t; C is even.
+def _pair_counts(points, u: np.ndarray, k: int, max_entries: int) -> np.ndarray:
+    """C(t), t = 0, 1, ...: pairs of k-tuples from a block's support points
+    (`points`, one coordinate array per axis) with equal coordinate sums
+    whose sums of the integer key `u` differ by t; C is even.
 
-    Since n^2 = 2 v(n) + n, pairs with equal sums of n have sums of n^2
-    differing by 2t exactly when their sums of v differ by t, and v spans
-    half the range of n^2. `_fold` builds the j-fold tables W_j(v, s) of
-    tuple counts by sum of v and sum s of n, on s-major keys over each
-    level's own v range; then C(t) = sum over s of the autocorrelation of
-    W_k(., s) at lag t, from one real FFT per row, zero-padded to
-    n_fft >= 2 n_v - 1 so that nothing wraps, with the power spectra summed
-    over s in blocks of `_AXIS_FFT_BYTES`.
+    `_fold` builds the j-fold tables W_j(u, s) of tuple counts by sum of u
+    and the mixed-radix key s of the coordinate sums, on s-major keys over
+    each level's own u range; then C(t) = sum over s of the autocorrelation
+    of W_k(., s) at lag t, from one real FFT per row, zero-padded to
+    n_fft >= 2 n_u - 1 so that nothing wraps, with the power spectra summed
+    over s in blocks of `_PAIR_FFT_BYTES`.
 
     Every |C(t)| is at most C(0) = sum W_k^2. The float error of each C(t)
     is modelled as (_FFT_ERROR log2(n_fft) + n_s) 2^-53 C(0): the FFTs add
     the log term, the sum of n_s nonnegative spectra the other. The model is
     empirical, not a proved bound: measured residuals stayed below
-    0.22 log2(n_fft) 2^-53 C(0). Rounding to int64 is trusted while it is
+    1.02 log2(n_fft) 2^-53 C(0). Rounding to int64 is trusted while it is
     below 1/4. Before the last fold the model is evaluated at the upper
     estimate C(0) <= |S|^2 sum W_{k-1}^2 (Young's inequality), and an input
     at or over 1/4 raises ArithmeticError without paying that fold. After
     the FFT, a residual over the model at the true C(0), or a rounded C
-    whose sum over all lags misses the exact sum over s of (sum_v W_k)^2,
-    raises ArithmeticError too. A table of n_v x n_s entries over
+    whose sum over all lags misses the exact sum over s of (sum_u W_k)^2,
+    raises ArithmeticError too. A table of n_u x n_s entries over
     `max_entries` raises ValueError.
     """
-    v = support * (support - 1) // 2
-    v_lo, x_lo = int(v.min()), int(support[0])
-    span_v = int(v.max()) - v_lo
-    n_v = k * span_v + 1
-    n_s = k * (int(support[-1]) - x_lo) + 1
-    if n_v * n_s > max_entries:
-        raise ValueError(_over_budget(n_v * n_s, max_entries))
-    n_fft = 1 << (2 * n_v - 2).bit_length()
+    s, n_s = 0, 1
+    for x in points:  # mixed radix over the k-fold sums, last axis fastest
+        x = x - x.min()
+        radix = k * int(x.max()) + 1
+        s, n_s = s * radix + x, n_s * radix
+    order = np.lexsort((u, s))  # ascending point keys at every level
+    u_lo = int(u.min())
+    span_u = int(u.max()) - u_lo
+    n_u = k * span_u + 1
+    if n_u * n_s > max_entries:
+        raise ValueError(_over_budget(n_u * n_s, max_entries))
+    n_fft = 1 << (2 * n_u - 2).bit_length()
     model = (_FFT_ERROR * math.log2(n_fft) + n_s) * 2.0**-53
     keys, w, stride = np.zeros(1, dtype=np.int64), np.ones(1), 1
     for j in range(1, k + 1):
         # sum W_j^2 <= |S|^2 sum W_{j-1}^2 (Young), so refuse before the last fold
-        estimate = model * support.size**2 * float(np.dot(w, w))
+        estimate = model * u.size**2 * float(np.dot(w, w))
         if j == k and estimate >= 0.25:
             raise ArithmeticError(
                 f"pair counts past the exact FFT range (estimate {estimate})"
             )
-        # re-key on the j-fold v range; ascending, since v - v_lo <= span_v
+        # re-key on the j-fold u range; u - u_lo <= span_u keeps s and u apart
         row, col = np.divmod(keys, stride)
-        stride = j * span_v + 1
-        point_keys = (support - x_lo) * stride + (v - v_lo)
+        stride = j * span_u + 1
+        point_keys = (s * stride + (u - u_lo))[order]
         keys, w = _fold(row * stride + col, w, point_keys, None)
     bound = model * float(np.dot(w, w))
-    rows = max(1, _AXIS_FFT_BYTES // (16 * (n_fft // 2 + 1)))
-    row_of, col_of = np.divmod(keys, n_v)
+    rows = max(1, _PAIR_FFT_BYTES // (16 * (n_fft // 2 + 1)))
+    row_of, col_of = np.divmod(keys, n_u)
     cuts = np.searchsorted(row_of, np.arange(0, n_s + rows, rows))
     power = np.zeros(n_fft // 2 + 1)
     for b in range(cuts.size - 1):
@@ -229,7 +237,7 @@ def _pair_counts(support: np.ndarray, k: int, max_entries: int) -> np.ndarray:
         block[row_of[lo:hi] - b * rows, col_of[lo:hi]] = w[lo:hi]
         spec = np.fft.rfft(block, axis=1)
         power += (spec.real**2 + spec.imag**2).sum(axis=0)
-    corr = np.fft.irfft(power, n_fft)[:n_v]
+    corr = np.fft.irfft(power, n_fft)[:n_u]
     counts = np.rint(corr)
     if np.max(np.abs(corr - counts)) > bound:
         raise ArithmeticError("pair-count residual over its float error model")
@@ -241,28 +249,36 @@ def _pair_counts(support: np.ndarray, k: int, max_entries: int) -> np.ndarray:
 
 
 def _product_count(form: QuadraticForm, supports, k: int, max_entries: int) -> int:
-    """Pairs of k-tuples from the product of `supports` with equal keys
-    (sum R(n), sum n), for the diagonal form R = sum c_i n_i^2.
+    """Pairs of k-tuples from the product of the per-axis `supports` with
+    equal keys (sum R(n), sum n), for a form of two or more blocks.
 
-    Axis by axis, equal sums of n leave sum c_i n_i^2 equal exactly when
-    sum c_i t_i = 0 for the per-axis lags t_i of `_pair_counts`, so the count
-    is sum over such t of prod C_i(t_i). Each C_i is even, so the signs of
-    the c_i drop out: dilating C_i by |c_i| gives D_i(|c_i| t) = C_i(t), and
-    the count is the full convolution of the D_i at 0. The first d - 1 are
-    convolved exactly (`_exact_convolve`); the last enters by one dot product
-    of Python ints. C_i is built once per distinct support.
+    Per block B, R_B = 2 h_B u_B + L_B with L_B(n) = sum_i M_ii n_i, h_B the
+    gcd of the block's entries, signed as its first nonzero one, and the
+    integer u_B = (sum_i M_ii n_i(n_i-1)/2 + sum_{i<j} M_ij n_i n_j) / h_B;
+    for a 1-axis block c n^2, h = c and u = n(n-1)/2. L_B cancels between
+    tuples with equal coordinate sums, so the count is the sum over lags t
+    with sum h_B t_B = 0 of prod C_B(t_B), C_B from `_pair_counts`. Each C_B
+    is even, so the signs of the h_B drop out: dilating C_B by |h_B| gives
+    D_B(|h_B| t) = C_B(t), and the count is the full convolution of the D_B
+    at 0, all but the last convolved exactly (`_exact_convolve`), the last
+    by one dot product of Python ints. One table per distinct (points, u).
     """
     tables = {}
     dilated = []
-    for i, support in enumerate(supports):
-        key = support.tobytes()
+    for axes, block in form.blocks:
+        grid = np.indices([supports[i].size for i in axes]).reshape(len(axes), -1)
+        points = [supports[i][g] for i, g in zip(axes, grid)]
+        mat = block.matrix
+        terms = [(i, j, v) for i, r in enumerate(mat) for j, v in enumerate(r) if v]
+        h = math.gcd(*[v for *_, v in terms]) * (1 if terms[0][2] > 0 else -1)
+        # 2 h u = R_B - L_B = sum_ij M_ij n_i (n_j - [i = j])
+        u = sum(v * points[i] * (points[j] - (i == j)) for i, j, v in terms) // (2 * h)
+        key = (b"".join(x.tobytes() for x in points), u.tobytes())
         if key not in tables:
-            tables[key] = _pair_counts(support, k, max_entries)
-        half = tables[key]
-        full = np.concatenate([half[:0:-1], half])
-        step = abs(form.matrix[i][i])
-        d = np.zeros(step * (full.size - 1) + 1, dtype=np.int64)
-        d[::step] = full
+            tables[key] = _pair_counts(points, u, k, max_entries)
+        full = np.concatenate([tables[key][:0:-1], tables[key]])
+        d = np.zeros(abs(h) * (full.size - 1) + 1, dtype=np.int64)
+        d[:: abs(h)] = full
         dilated.append(d)
     g = dilated[0]
     for d in dilated[1:-1]:
@@ -271,13 +287,8 @@ def _product_count(form: QuadraticForm, supports, k: int, max_entries: int) -> i
     # both even about their centres: the convolution at 0 is a plain dot
     m = min(g.size, last.size) // 2
     gc, lc = g.size // 2, last.size // 2
-    return sum(
-        map(
-            operator.mul,
-            g[gc - m : gc + m + 1].tolist(),
-            last[lc - m : lc + m + 1].tolist(),
-        )
-    )
+    x, y = g[gc - m : gc + m + 1].tolist(), last[lc - m : lc + m + 1].tolist()
+    return sum(map(operator.mul, x, y))
 
 
 def _exact_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -347,8 +358,8 @@ def representation_count(form: QuadraticForm, source, p: int) -> RepresentationC
     For 0/1 coefficients this is the even moment itself; otherwise the count
     refers to the support indicator and `weighted` is set. The indicator takes
     the oracle's counting path, so the count is summed in integers; for a
-    product source it is built from the indicators of its factors, so a
-    diagonal form takes the factorized count.
+    product source it is built from the indicators of its factors, so a form
+    of two or more blocks takes the factorized count.
     """
     support = source.values != 0
     weighted = bool(np.any(support & (source.values != 1.0)))

@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in process."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -39,6 +40,18 @@ def test_moment_delta_flat():
     )
     assert code == 0
     assert "full=1\n" in out
+
+
+def test_moment_block_form_exact():
+    # R = 2 x0 x1 + x2^2: the oracle counts per block and agrees with the
+    # Nyquist grid, or the run would exit 1
+    code, out, err = _run(
+        ["moment", "--form", "mat:3:0,1,0,1,0,0,0,0,1", "--family", "ones",
+         "--N", "3", "--p", "6", "--grid", "nyquist"]
+    )
+    assert code == 0 and err == ""
+    assert "full=35383080115\n" in out
+    assert "exact=yes" in out
 
 
 def test_truncated_extremizer_degenerate():
@@ -442,6 +455,16 @@ def test_flag_and_config_key_read_alike(name, tmp_path, capsys):
     cfg.write_text(f"{key} = {bad}\n")
     with pytest.raises(ValueError, match=re.escape(f"{cfg}:1: bad value for '{key}'")):
         merged(["--config", str(cfg)])
+
+
+def test_every_flag_has_help():
+    parser = build_parser()
+    assert build_parser() is parser  # built once per process
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(subs.choices) == sorted(COMMANDS)
+    for name, sub in subs.choices.items():
+        for action in sub._actions:
+            assert action.help, (name, action.option_strings)
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()

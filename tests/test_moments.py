@@ -273,6 +273,17 @@ def test_representation_count_keeps_the_product_structure(monkeypatch):
     assert moments.even_moment_exact(HYPER, seq, 4) == 0.0
 
 
+# R = 2 x0 x1 + x2^2: blocks {0, 1} and {2}
+BLOCK3 = parse_form_spec("mat:3:0,1,0,1,0,0,0,0,1")
+# a block with diagonal entries (x0^2 + 2 x0 x1 - x1^2 + 2 x2^2), and two
+# 2-axis blocks with h = 1 and h = 3
+BLOCK_FORMS = (
+    BLOCK3,
+    parse_form_spec("mat:3:1,1,0,1,-1,0,0,0,2"),
+    parse_form_spec("mat:4:0,1,0,0,1,0,0,0,0,0,0,3,0,0,3,0"),
+)
+
+
 def _without_factors(values):
     values = np.asarray(values)
     return CoefficientSequence(values.ndim, (values.shape[0] - 1) // 2, values)
@@ -287,6 +298,7 @@ def _product(*factors):
 
 def test_factorized_count_matches_sparse_fold():
     forms = [parse_form_spec(s) for s in ("diag:1,-1", "diag:2,-3", "diag:1,1,-1")]
+    forms += BLOCK_FORMS[:2]
     for form in forms:
         d = form.dim
         for N in (1, 2, 3) if d == 2 else (1, 2):
@@ -315,6 +327,9 @@ def test_factorized_count_on_gapped_asymmetric_factors():
         ("diag:1,1", (f1, f1)),
         ("diag:1,1,-1", (f1, f2, f3)),
         ("diag:1,-2,1,-1", (f1, f2, f1, f2)),
+        ("mat:3:0,1,0,1,0,0,0,0,1", (f1, f2, f3)),
+        ("mat:3:1,1,0,1,-1,0,0,0,2", (f2, f1, f1)),
+        ("mat:4:0,1,0,0,1,0,0,0,0,0,0,3,0,0,3,0", (f1, f2, f2, f1)),
     ]
     for spec, factors in cases:
         form = parse_form_spec(spec)
@@ -326,6 +341,55 @@ def test_factorized_count_on_gapped_asymmetric_factors():
             got = moments.even_moment_exact(form, seq, p)
             assert got == moments.even_moment_exact(form, _without_factors(seq.values), p)
             assert got == _brute_even_moment(form, seq, p)
+
+
+def test_block_count_past_the_sparse_fold():
+    # equal to the sparse fold at p = 4; at p = 6 the d-dim key table has
+    # 1.1e8 entries, over the default budget, while the block tables have
+    # 385 x 2401 and 193 x 49, and the count matches the Nyquist grid
+    seq = ones_sequence(3, 8)
+    want = moments.even_moment_exact(BLOCK3, _without_factors(seq.values), 4)
+    assert moments.even_moment_exact(BLOCK3, seq, 4) == want
+    with pytest.raises(ValueError, match="use the grid method"):
+        moments.even_moment_exact(BLOCK3, _without_factors(seq.values), 6)
+    start = time.perf_counter()
+    got = moments.even_moment_exact(BLOCK3, seq, 6)
+    assert time.perf_counter() - start < 1.0
+    assert got == 3_429_885_351_737_825
+    grid = moments.nyquist_grid(BLOCK3, 8, 3, 6)
+    scanned = moments.scan_field(BLOCK3, seq, grid, p_values=(6,)).moments[6]
+    assert abs(scanned - got) <= 1e-12 * got
+
+
+def test_one_table_per_distinct_block(monkeypatch):
+    built = []
+    pair_counts = moments._pair_counts
+
+    def counted(points, u, k, max_entries):
+        built.append(len(points))
+        return pair_counts(points, u, k, max_entries)
+
+    monkeypatch.setattr(moments, "_pair_counts", counted)
+    # diag:2,-3 has u = n(n-1)/2 on both axes, and the 4-dim form u = x0 x1
+    # on both blocks
+    cases = [(HYPER, [1]), (parse_form_spec("diag:1,1,-1"), [1]),
+             (parse_form_spec("diag:2,-3"), [1]), (BLOCK3, [2, 1]),
+             (BLOCK_FORMS[1], [2, 1]), (BLOCK_FORMS[2], [2])]
+    for form, want in cases:
+        built.clear()
+        moments.even_moment_exact(form, ones_sequence(form.dim, 3), 4)
+        assert built == want
+
+
+def test_programming_errors_in_the_block_count_propagate(monkeypatch):
+    def broken(*args):
+        raise TypeError("broken pair counts")
+
+    monkeypatch.setattr(moments, "_pair_counts", broken)
+    seq = ones_sequence(3, 1)
+    grid = moments.nyquist_grid(BLOCK3, 1, 3, 4)
+    with pytest.raises(TypeError, match="broken pair counts"):
+        moments.build_report(BLOCK3, seq, [grid], 4.0)
 
 
 def test_factorized_path_leaves_other_inputs_on_the_sparse_fold():
