@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .quadform import QuadraticForm
-from .expsum import TorusGrid, _r_grid, iter_field_chunks
+from .expsum import _CHUNK_BYTES, TorusGrid, _r_grid, iter_field_chunks
 from .sequences import CoefficientSequence, SmoothWeight
 
 __all__ = [
@@ -455,6 +455,60 @@ class FieldScan:
     levels: list[tuple[float, float]] = field(default_factory=list)
 
 
+class _Cuts:
+    """The statistics of a scan that read only cells at or above a cut: the
+    sup, truncated moments ((p, absolute threshold) pairs) and level counts.
+
+    `add` takes one block of |F|. Cells below `lo`, the smallest threshold
+    or positive rung, reach no truncated moment and no positive rung; a rung
+    at 0 counts every cell. Each block's truncated sums are kept apart and
+    added exactly (`math.fsum`) by `scan`: a running float sum over hundreds
+    of blocks would drift by several ulp.
+    """
+
+    def __init__(self, thresholds, lambdas):
+        self.thresholds = tuple((float(p), float(t)) for p, t in thresholds)
+        self.lams = np.asarray(sorted(float(l) for l in lambdas), dtype=float)
+        if not np.all(np.isfinite(self.lams)):
+            raise ValueError("lambda must be finite")
+        if self.lams.size and self.lams[0] < 0:
+            raise ValueError("lambda must be >= 0")
+        if not all(np.isfinite(t) for _, t in self.thresholds):
+            raise ValueError("threshold must be finite")
+        self.rungs = self.lams[self.lams > 0]
+        self.lo = min([t for _, t in self.thresholds] + list(self.rungs), default=0.0)
+        self.trunc = {key: [] for key in self.thresholds}
+        self.hist = np.zeros(self.rungs.size + 1, dtype=np.int64)
+        self.sup = 0.0
+
+    def add(self, mag: np.ndarray) -> None:
+        self.sup = max(self.sup, float(mag.max()))
+        tail = mag if self.lo <= 0 else mag[mag >= self.lo]
+        for p, thr in self.thresholds:
+            kept = tail[tail >= thr]
+            if kept.size:
+                self.trunc[(p, thr)].append(float(np.sum(_pow(kept, p))))
+        if self.rungs.size:
+            bins = np.searchsorted(self.rungs, tail, side="right")
+            self.hist += np.bincount(bins, minlength=self.rungs.size + 1)
+
+    def scan(self, grid: TorusGrid, sums: dict) -> FieldScan:
+        """The FieldScan of `grid`, given the exact sum of |F|^p over its
+        cells for each p."""
+        above = self.hist[::-1].cumsum()[::-1][1:]
+        n_zero = self.lams.size - self.rungs.size
+        counts = np.concatenate([np.full(n_zero, grid.total_cells), above])
+        meas = counts / grid.total_cells
+        return FieldScan(
+            sup=self.sup,
+            moments={p: s * grid.cell_measure for p, s in sums.items()},
+            truncated={
+                k: math.fsum(v) * grid.cell_measure for k, v in self.trunc.items()
+            },
+            levels=[(float(l), float(m)) for l, m in zip(self.lams, meas)],
+        )
+
+
 def scan_field(
     form: QuadraticForm,
     source,
@@ -462,6 +516,8 @@ def scan_field(
     p_values: Sequence[float] = (2.0,),
     thresholds: Sequence[tuple[float, float]] = (),
     lambdas: Sequence[float] = (),
+    *,
+    rows: bool = False,
 ) -> FieldScan:
     """Single streaming pass accumulating moments, threshold-restricted moments
     ((p, absolute threshold) pairs), level-set counts and the sup norm.
@@ -472,50 +528,102 @@ def scan_field(
     blocks, and truncated moments and positive rungs read only the cells at
     or above the smallest cut. Chunking and blocking are deterministic, so
     accumulation order and results are reproducible run to run.
+
+    The scan reads every cell of the field, unless `rows` is set and the
+    source declares `factors` on a form of two or more blocks: then it is
+    reduced from the blocks' rows by `_scan_rows`, which forms only the cells
+    a cut or the sup can reach. `sup` and the levels stay the same bit for
+    bit, the moments may move in the last ulp, and the field spans count
+    the blocks' rows instead of the cells.
     """
-    p_values = tuple(p_values)
-    thresholds = tuple((float(p), float(t)) for p, t in thresholds)
-    lams = np.asarray(sorted(float(l) for l in lambdas), dtype=float)
-    if not np.all(np.isfinite(lams)):
-        raise ValueError("lambda must be finite")
-    if lams.size and lams[0] < 0:
-        raise ValueError("lambda must be >= 0")
-    if not all(np.isfinite(t) for _, t in thresholds):
-        raise ValueError("threshold must be finite")
-    rungs = lams[lams > 0]
-    n_zero = lams.size - rungs.size  # rungs at 0, each counting every cell
-    # cells below every cut reach no truncated moment and no positive rung
-    lo = min([t for _, t in thresholds] + list(rungs), default=0.0)
-    # per-block partial sums, added exactly at the end: a running float sum
-    # over hundreds of blocks would drift by several ulp
-    sums = {p: [] for p in p_values}
-    trunc = {key: [] for key in thresholds}
-    hist = np.zeros(rungs.size + 1, dtype=np.int64)
-    sup = 0.0
+    cuts = _Cuts(thresholds, lambdas)
+    if rows and source.factors is not None and len(form.blocks) >= 2:
+        return _scan_rows(form, source, grid, p_values, cuts)
+    sums = {p: [] for p in p_values}  # per-block partial sums, as for the cuts
     for _, vals in iter_field_chunks(form, source, grid):
         flat = vals.reshape(-1)
         for b0 in range(0, flat.size, _SCAN_BLOCK):
             mag = np.abs(flat[b0 : b0 + _SCAN_BLOCK])
-            sup = max(sup, float(mag.max()))
-            for p in p_values:
+            for p in sums:
                 sums[p].append(float(np.sum(_pow(mag, p))))
-            tail = mag if lo <= 0 else mag[mag >= lo]
-            for p, thr in thresholds:
-                kept = tail[tail >= thr]
-                if kept.size:
-                    trunc[(p, thr)].append(float(np.sum(_pow(kept, p))))
-            if rungs.size:
-                bins = np.searchsorted(rungs, tail, side="right")
-                hist += np.bincount(bins, minlength=rungs.size + 1)
-    above = hist[::-1].cumsum()[::-1][1:]
-    counts = np.concatenate([np.full(n_zero, grid.total_cells), above])
-    meas = counts / grid.total_cells
-    return FieldScan(
-        sup=sup,
-        moments={p: math.fsum(sums[p]) * grid.cell_measure for p in p_values},
-        truncated={k: math.fsum(trunc[k]) * grid.cell_measure for k in thresholds},
-        levels=[(float(l), float(m)) for l, m in zip(lams, meas)],
-    )
+            cuts.add(mag)
+    return cuts.scan(grid, {p: math.fsum(v) for p, v in sums.items()})
+
+
+def _scan_rows(
+    form: QuadraticForm, source, grid: TorusGrid, p_values, cuts: _Cuts
+) -> FieldScan:
+    """`scan_field` of a sequence that declares `factors` on a form of two
+    or more blocks, from the blocks' rows, since F = prod_B F_B.
+
+    Each block's field comes from `iter_field_chunks` on the block's form,
+    factors and theta offsets, in alpha chunks that line up across blocks; a
+    chunk of any block, or of A, holds at most `_CHUNK_BYTES`. A slice's
+    p-th moment is the product over blocks of sum |F_B|^p, and the slices
+    are added with `math.fsum`. A is the product of every block but the
+    last, B, formed as the field engine forms it; a row j of A (one alpha,
+    one point of A's theta axes) bounds its cells by |A_j| max|B|. Only rows
+    whose bound reaches (1 - 2^-40) min(smallest cut, largest bound so far)
+    form their cells A_j B, in the engine's operand order, for `_Cuts`.
+    Every cell at or above a cut, and every cell that can be the sup, is in
+    such a row: `sup` and the level counts are a full scan's bit for bit,
+    and the moment sums may move in the last ulp.
+    """
+    d, m = source.dim, grid.m_theta
+    if grid.dim != d:
+        raise ValueError("grid dim does not match the sequence dim")
+    e = len(form.blocks[-1][0])  # the axes of B; A has the other d - e
+    chunk = max(1, _CHUNK_BYTES // (16 * m ** max(d - e, e)))
+    o = grid.offset
+    fields = [
+        iter_field_chunks(
+            block,
+            CoefficientSequence(
+                len(ax), source.radius, None, factors=[source.factors[i] for i in ax]
+            ),
+            TorusGrid(len(ax), grid.m_alpha, m, (o[0],) + tuple(o[1 + i] for i in ax)),
+            chunk,
+        )
+        for ax, block in form.blocks
+    ]
+    shapes = [
+        (-1,) + tuple(m if i in ax else 1 for i in range(d)) for ax, _ in form.blocks
+    ]
+    slices = {p: [] for p in p_values}
+    top = 0.0  # the largest row bound so far
+    for chunks in zip(*fields, strict=True):
+        top = _reduce_rows([v for _, v in chunks], shapes, slices, cuts, top)
+    return cuts.scan(grid, {p: math.fsum(v) for p, v in slices.items()})
+
+
+def _reduce_rows(vals, shapes, slices, cuts: _Cuts, top: float) -> float:
+    """One alpha chunk of `_scan_rows`: the blocks' rows `vals`, reshaped
+    onto the field's axes by `shapes`. Appends each slice's moments to
+    `slices`, feeds the live rows' cells to `cuts`, returns the new largest
+    row bound. Its temporaries are gone before the next chunk is read."""
+    k = len(vals[0])
+    sums = {p: [] for p in slices}
+    for v in vals:  # one block's |F_B| at a time
+        mag = np.abs(v).reshape(k, -1)
+        for p in sums:
+            sums[p].append(_pow(mag, p).sum(axis=1))
+    for p in sums:
+        slices[p] += reduce(np.multiply, sums[p]).tolist()
+    parts = [v.reshape(shape) for v, shape in zip(vals, shapes)]
+    a = reduce(np.multiply, parts[:-1]).reshape(k, -1)
+    b = vals[-1].reshape(k, -1)
+    bound = np.abs(a)
+    bound *= mag.max(axis=1)[:, None]  # max |B| per slice
+    top = max(top, float(bound.max()))
+    # the margin is far above the few ulp between a bound and its cells
+    live = np.flatnonzero(bound >= (1 - 2.0**-40) * min(cuts.lo, top))
+    del mag, bound  # only the live rows' cells from here on
+    per = max(1, _SCAN_BLOCK // b.shape[1])  # rows whose cells are formed at once
+    for i in range(0, live.size, per):
+        batch = live[i : i + per]
+        cells = np.multiply(a.reshape(-1)[batch][:, None], b[batch // a.shape[1]])
+        cuts.add(np.abs(cells).ravel())
+    return top
 
 
 # Levels of the layer-cake Riemann sum, evenly spaced on [0, sup|F|).
@@ -597,7 +705,13 @@ def build_report(
 
     Full and truncated moments and level measures are means over the grids,
     `sup` is their max, and `spread` is the larger relative spread of the full
-    and truncated moments (0.0 for one grid). Even p also runs the exact
+    and truncated moments (0.0 for one grid). A sequence that declares
+    `factors` on a form of two or more blocks is scanned from the blocks'
+    rows (`scan_field` with `rows`), which forms only the cells that can
+    reach the threshold, a positive level or the sup: `sup`, the levels,
+    `exact`, `oracle_full` and `grid_info` are those of the every-cell scan
+    bit for bit, and the grid's full and truncated moments may move in the
+    last ulp. Even p also runs the exact
     counting oracle; the full moment then reports the exact value, unless the
     oracle refuses (ValueError, over its key-table budget) or leaves its
     exact arithmetic range (ArithmeticError), and the grid mean stands.
@@ -624,6 +738,7 @@ def build_report(
             p_values=(p,),
             thresholds=((p, threshold),),
             lambdas=lambdas,
+            rows=True,
         )
         fulls.append(scan.moments[p])
         truncs.append(scan.truncated[(p, threshold)])

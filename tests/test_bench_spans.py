@@ -106,3 +106,35 @@ def test_field_spans_close_in_order_with_a_worker(monkeypatch):
         assert all(recorded[s.parent].name == spans.SCAN for s in in_scan)
         for group in (in_scan, [s for s in field if s.parent < 0]):
             assert sum(s.counts.get("cells", 0) for s in group) == grid.total_cells
+
+
+def test_block_row_spans_count_the_rows(monkeypatch):
+    # build_report scans a factored source on a form of two or more blocks
+    # from the blocks' rows: each grid's scan span holds field spans that
+    # count m_alpha * m_theta^e cells per block of e axes
+    spans = _load_spans(monkeypatch)
+    cases = (
+        (parse_form_spec("diag:1,-1"), ones_sequence(2, 4).normalized(), 40, 11),
+        (parse_form_spec("diag:1,1,-1"), SmoothWeight(3, 1), 30, 5),
+        (parse_form_spec("mat:3:0,0,1,0,1,0,1,0,0"), ones_sequence(3, 2), 25, 7),
+    )
+    for form, source, m_alpha, m_theta in cases:
+        grids = [
+            TorusGrid(source.dim, m_alpha, m_theta, (0.1 * j,) * (source.dim + 1))
+            for j in range(2)
+        ]
+        tracer = spans.Tracer()
+        try:
+            spans.install(tracer)
+            moments.build_report(form, source, grids, 4.0)
+        finally:
+            tracer.uninstall()
+        recorded = tracer.take()
+        scans = [i for i, s in enumerate(recorded) if s.name == spans.SCAN]
+        assert len(scans) == len(grids)
+        want = sum(m_alpha * m_theta ** len(ax) for ax, _ in form.blocks)
+        for i in scans:
+            field = [s for s in recorded if s.name == spans.FIELD and s.parent == i]
+            assert sum(s.counts.get("cells", 0) for s in field) == want
+        field = [s for s in recorded if s.name == spans.FIELD]
+        assert all(s.parent in scans for s in field)

@@ -23,7 +23,7 @@ from quadsums import (
     parse_form_spec,
     random_unit_sequence,
 )
-from quadsums import moments
+from quadsums import expsum, moments
 
 HYPER = parse_form_spec("diag:1,-1")
 LINE = parse_form_spec("diag:1")
@@ -815,3 +815,111 @@ def test_report_over_two_grids_averages_single_grid_reports():
     assert both.oracle_full == one[0].oracle_full
     assert both.full_moment == both.oracle_full
     assert both.grid_info == one[0].grid_info
+
+
+def _every_cell_report(monkeypatch, *args, **kwargs):
+    # build_report with every grid scanned cell by cell, as scan_field does
+    # for any source when `rows` is not set
+    full_scan = moments.scan_field
+    with monkeypatch.context() as m:
+        m.setattr(moments, "scan_field", lambda *a, rows, **k: full_scan(*a, **k))
+        return moments.build_report(*args, **kwargs)
+
+
+def _assert_same_report(got, want):
+    assert got.sup == want.sup
+    assert got.levels == want.levels
+    assert got.exact == want.exact
+    assert got.oracle_full == want.oracle_full
+    assert got.grid_info == want.grid_info
+    assert got.grid_full == pytest.approx(want.grid_full, rel=1e-13)
+    assert got.truncated_moment == pytest.approx(want.truncated_moment, rel=1e-13)
+    assert got.spread == pytest.approx(want.spread, abs=1e-13)
+
+
+def test_report_from_block_rows_matches_the_field(monkeypatch):
+    # a factored source takes the block-row path; its report equals the one
+    # read cell by cell from the same field, and its sup and moments equal,
+    # to rounding, those of the same values without factors (d-dim engine)
+    rng = np.random.default_rng(24)
+    cases = [
+        (HYPER, ones_sequence(2, 3).normalized()),
+        (HYPER, SmoothWeight(2, 3)),
+        (HYPER, delta_sequence(2, 2)),
+        (parse_form_spec("diag:2,-3"), ones_sequence(2, 3).normalized()),
+    ] + [
+        (parse_form_spec(spec), ones_sequence(3, 2).normalized())
+        for spec in (
+            "diag:1,1,-1",
+            "mat:3:0,1,0,1,0,0,0,0,1",
+            # blocks {0, 2} and {1}: the last block is not the trailing axis
+            "mat:3:0,0,1,0,1,0,1,0,0",
+        )
+    ]
+    for form, seq in cases:
+        d, r = seq.dim, seq.radius
+        grids = [TorusGrid.random_offset(d, 97, 2 * r + 3, rng) for _ in range(3)]
+        ladder = moments.default_levels(seq, 9)
+        # a rung at 0, the Cauchy-Schwarz bound on sup, and one above it
+        lams = tuple(ladder) + (2 * ladder[-1],)
+        for C in (1.0, 1e6):
+            got = moments.build_report(form, seq, grids, 4.0, C=C, lambdas=lams)
+            want = _every_cell_report(
+                monkeypatch, form, seq, grids, 4.0, C=C, lambdas=lams
+            )
+            _assert_same_report(got, want)
+            assert got.levels[0][1] == 1.0 and got.levels[-1][1] == 0.0
+            plain = moments.build_report(
+                form, _without_factors(seq.values), grids, 4.0, C=C, lambdas=lams
+            )
+            # levels at a tie flip with the engine's rounding (ROADMAP item 2),
+            # and a plain copy of a SmoothWeight takes its N, and so its
+            # threshold, from the radius
+            assert got.sup == pytest.approx(plain.sup, rel=1e-13)
+            assert got.grid_full == pytest.approx(plain.grid_full, rel=1e-13)
+            assert got.oracle_full == plain.oracle_full
+            if plain.threshold == got.threshold:
+                assert got.truncated_moment == pytest.approx(
+                    plain.truncated_moment, rel=1e-13
+                )
+        # at C = 1e6 the cut is above sup: no cell reaches it
+        assert got.threshold > got.sup > 0.0
+        assert got.truncated_moment == 0.0
+    with pytest.raises(ValueError, match="grid dim"):
+        grid = TorusGrid(3, 9, 7, (0,) * 4)
+        moments.build_report(HYPER, ones_sequence(2, 2), [grid], 4.0)
+
+
+def test_report_from_block_rows_over_many_chunks(monkeypatch):
+    # small row chunks: the largest bound so far grows across chunks; the
+    # report stays that of the every-cell scan and is the same at 1 and 2
+    # workers
+    rng = np.random.default_rng(25)
+    monkeypatch.setattr(moments, "_CHUNK_BYTES", 16 * 2 * 13 * 5)
+    for form, seq in (
+        (HYPER, ones_sequence(2, 4).normalized()),
+        (parse_form_spec("mat:3:0,0,1,0,1,0,1,0,0"), SmoothWeight(3, 1)),
+    ):
+        grids = [TorusGrid.random_offset(seq.dim, 200, 13, rng) for _ in range(2)]
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(expsum, "_WORKERS", workers)
+            reports.append(moments.build_report(form, seq, grids, 6.0))
+        assert repr(reports[0]) == repr(reports[1])
+        want = _every_cell_report(monkeypatch, form, seq, grids, 6.0)
+        _assert_same_report(reports[0], want)
+
+
+def test_report_from_block_rows_memory():
+    # the rows of 1000 alpha slices and the live cells stay a few field
+    # chunks, far below the 9.4M cells of the grid
+    seq = ones_sequence(2, 16).normalized()
+    grid = TorusGrid(2, 1000, 97, (0.0, 0.0, 0.0))
+    tracemalloc.start()
+    try:
+        rep = moments.build_report(HYPER, seq, [grid], 6.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.sup > 0.0
+    assert peak < 4 * expsum._CHUNK_BYTES
