@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import threading
 from dataclasses import dataclass
 from math import ceil, gcd, prod
 from typing import Iterator, Sequence
@@ -48,6 +49,13 @@ _WORKERS = min(
     2,
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
 )
+
+# The worker slot: held by the one field generator whose chunks are computed
+# on a worker, so at most `_WORKERS - 1` = 1 worker runs at a time. A
+# generator that starts while it is held computes its chunks on the
+# consumer's thread; the row scan of `moments`, which reads one generator
+# per block side by side, holds it so that all of them do.
+_PREFETCH = threading.Lock()
 
 
 @functools.lru_cache(maxsize=64)
@@ -155,7 +163,9 @@ def iter_field_chunks(
     `chunk` defaults to as many alpha slices as fit in `_CHUNK_BYTES`; a
     slice larger than that is still yielded whole, one per chunk. With
     `_WORKERS` = 2 the chunk after the one yielded is computed meanwhile on
-    a worker thread; each chunk is allocated here and filled there.
+    a worker thread; each chunk is allocated here and filled there. Only one
+    generator at a time has a worker (`_PREFETCH`); any other open meanwhile
+    computes its chunks when they are asked for.
     """
     d, r, m, m_alpha = source.dim, source.radius, grid.m_theta, grid.m_alpha
     if grid.dim != d:
@@ -198,7 +208,7 @@ def iter_field_chunks(
         (start, np.empty((min(chunk, m_alpha - start),) + (m,) * d, dtype=np.complex128))
         for start in range(0, m_alpha, chunk)
     )
-    if _WORKERS < 2 or m_alpha <= chunk:
+    if _WORKERS < 2 or m_alpha <= chunk or not _PREFETCH.acquire(blocking=False):
         for start, out in jobs:
             compute(start, out)
             yield start, out
@@ -206,16 +216,20 @@ def iter_field_chunks(
     from concurrent.futures import ThreadPoolExecutor
 
     # leaving the block, also by close() or an error, waits for the worker
-    with ThreadPoolExecutor(1) as pool:
-        ahead = None
-        for start, out in jobs:
-            job = (pool.submit(compute, start, out), start, out)
-            if ahead is not None:
-                ahead[0].result()
-                yield ahead[1:]
-            ahead = job
-        ahead[0].result()
-        yield ahead[1:]
+    # and then lets the next generator have one
+    try:
+        with ThreadPoolExecutor(1) as pool:
+            ahead = None
+            for start, out in jobs:
+                job = (pool.submit(compute, start, out), start, out)
+                if ahead is not None:
+                    ahead[0].result()
+                    yield ahead[1:]
+                ahead = job
+            ahead[0].result()
+            yield ahead[1:]
+    finally:
+        _PREFETCH.release()
 
 
 def _twist(

@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .quadform import QuadraticForm
-from .expsum import _CHUNK_BYTES, TorusGrid, _r_grid, iter_field_chunks
+from . import expsum
+from .expsum import TorusGrid, _r_grid, iter_field_chunks
 from .sequences import CoefficientSequence, SmoothWeight
 
 __all__ = [
@@ -516,8 +517,6 @@ def scan_field(
     p_values: Sequence[float] = (2.0,),
     thresholds: Sequence[tuple[float, float]] = (),
     lambdas: Sequence[float] = (),
-    *,
-    rows: bool = False,
 ) -> FieldScan:
     """Single streaming pass accumulating moments, threshold-restricted moments
     ((p, absolute threshold) pairs), level-set counts and the sup norm.
@@ -529,16 +528,24 @@ def scan_field(
     or above the smallest cut. Chunking and blocking are deterministic, so
     accumulation order and results are reproducible run to run.
 
-    The scan reads every cell of the field, unless `rows` is set and the
-    source declares `factors` on a form of two or more blocks: then it is
-    reduced from the blocks' rows by `_scan_rows`, which forms only the cells
-    a cut or the sup can reach. `sup` and the levels stay the same bit for
-    bit, the moments may move in the last ulp, and the field spans count
-    the blocks' rows instead of the cells.
+    A source that declares `factors` on a form of two or more blocks, asked
+    for a positive cut (a threshold or a rung above 0), is reduced from the
+    blocks' rows by `_scan_rows`, which forms only the cells a cut or the sup
+    can reach: `sup` and the levels are the every-cell scan's bit for bit,
+    the moments may move in the last ulp, and the field spans count the
+    blocks' rows instead of the cells. Any other scan reads every cell
+    (`_scan_cells`); with no positive cut every row would be live.
     """
     cuts = _Cuts(thresholds, lambdas)
-    if rows and source.factors is not None and len(form.blocks) >= 2:
+    if source.factors is not None and len(form.blocks) >= 2 and cuts.lo > 0:
         return _scan_rows(form, source, grid, p_values, cuts)
+    return _scan_cells(form, source, grid, p_values, cuts)
+
+
+def _scan_cells(
+    form: QuadraticForm, source, grid: TorusGrid, p_values, cuts: _Cuts
+) -> FieldScan:
+    """`scan_field` from every cell of the field."""
     sums = {p: [] for p in p_values}  # per-block partial sums, as for the cuts
     for _, vals in iter_field_chunks(form, source, grid):
         flat = vals.reshape(-1)
@@ -567,13 +574,16 @@ def _scan_rows(
     form their cells A_j B, in the engine's operand order, for `_Cuts`.
     Every cell at or above a cut, and every cell that can be the sup, is in
     such a row: `sup` and the level counts are a full scan's bit for bit,
-    and the moment sums may move in the last ulp.
+    and the moment sums may move in the last ulp. The rows are computed on
+    this thread: the scan holds the worker slot `expsum._PREFETCH`, when it
+    is free, so that none of its generators starts a worker (one per block
+    cost criterion 08 about 6 MiB of RSS, and one about 4 MiB, for no time).
     """
     d, m = source.dim, grid.m_theta
     if grid.dim != d:
         raise ValueError("grid dim does not match the sequence dim")
     e = len(form.blocks[-1][0])  # the axes of B; A has the other d - e
-    chunk = max(1, _CHUNK_BYTES // (16 * m ** max(d - e, e)))
+    chunk = max(1, expsum._CHUNK_BYTES // (16 * m ** max(d - e, e)))
     o = grid.offset
     fields = [
         iter_field_chunks(
@@ -591,8 +601,13 @@ def _scan_rows(
     ]
     slices = {p: [] for p in p_values}
     top = 0.0  # the largest row bound so far
-    for chunks in zip(*fields, strict=True):
-        top = _reduce_rows([v for _, v in chunks], shapes, slices, cuts, top)
+    held = expsum._PREFETCH.acquire(blocking=False)
+    try:
+        for chunks in zip(*fields, strict=True):
+            top = _reduce_rows([v for _, v in chunks], shapes, slices, cuts, top)
+    finally:
+        if held:
+            expsum._PREFETCH.release()
     return cuts.scan(grid, {p: math.fsum(v) for p, v in slices.items()})
 
 
@@ -707,11 +722,11 @@ def build_report(
     `sup` is their max, and `spread` is the larger relative spread of the full
     and truncated moments (0.0 for one grid). A sequence that declares
     `factors` on a form of two or more blocks is scanned from the blocks'
-    rows (`scan_field` with `rows`), which forms only the cells that can
-    reach the threshold, a positive level or the sup: `sup`, the levels,
-    `exact`, `oracle_full` and `grid_info` are those of the every-cell scan
-    bit for bit, and the grid's full and truncated moments may move in the
-    last ulp. Even p also runs the exact
+    rows whenever its threshold is positive (see `scan_field`), which forms
+    only the cells that can reach the threshold, a positive level or the
+    sup: `sup`, the levels, `exact`, `oracle_full` and `grid_info` are those
+    of the every-cell scan bit for bit, and the grid's full and truncated
+    moments may move in the last ulp. Even p also runs the exact
     counting oracle; the full moment then reports the exact value, unless the
     oracle refuses (ValueError, over its key-table budget) or leaves its
     exact arithmetic range (ArithmeticError), and the grid mean stands.
@@ -738,7 +753,6 @@ def build_report(
             p_values=(p,),
             thresholds=((p, threshold),),
             lambdas=lambdas,
-            rows=True,
         )
         fulls.append(scan.moments[p])
         truncs.append(scan.truncated[(p, threshold)])

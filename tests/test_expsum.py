@@ -454,6 +454,22 @@ def test_field_worker_lifecycle(monkeypatch):
         next(gen)
 
 
+def test_field_generators_share_one_worker(monkeypatch):
+    # generators read side by side run one worker between them: the first
+    # to start takes it, the others compute on the consumer's thread and
+    # yield the same chunks
+    monkeypatch.setattr(expsum, "_WORKERS", 2)
+    seq, grid = WORKER_CASES[0][1:]
+    baseline = threading.active_count()
+    gens = [iter_field_chunks(HYPER, seq, grid) for _ in range(3)]
+    for (s0, v0), (s1, v1), (s2, v2) in zip(*gens, strict=True):
+        assert threading.active_count() == baseline + 1
+        assert s0 == s1 == s2
+        assert np.array_equal(v0, v1) and np.array_equal(v0, v2)
+    assert threading.active_count() == baseline
+    assert not expsum._PREFETCH.locked()
+
+
 def test_field_phases_exact_at_large_k_times_R():
     # SmoothWeight N=64 has |R(n)| up to 127^2, so alpha_k R(n) reaches 1.6e4
     # turns; the engine reduces k R(n) mod m_alpha in integers and must agree

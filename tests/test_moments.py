@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -819,10 +820,9 @@ def test_report_over_two_grids_averages_single_grid_reports():
 
 def _every_cell_report(monkeypatch, *args, **kwargs):
     # build_report with every grid scanned cell by cell, as scan_field does
-    # for any source when `rows` is not set
-    full_scan = moments.scan_field
+    # for a source without factors
     with monkeypatch.context() as m:
-        m.setattr(moments, "scan_field", lambda *a, rows, **k: full_scan(*a, **k))
+        m.setattr(moments, "_scan_rows", moments._scan_cells)
         return moments.build_report(*args, **kwargs)
 
 
@@ -895,7 +895,7 @@ def test_report_from_block_rows_over_many_chunks(monkeypatch):
     # report stays that of the every-cell scan and is the same at 1 and 2
     # workers
     rng = np.random.default_rng(25)
-    monkeypatch.setattr(moments, "_CHUNK_BYTES", 16 * 2 * 13 * 5)
+    monkeypatch.setattr(expsum, "_CHUNK_BYTES", 16 * 2 * 13 * 5)
     for form, seq in (
         (HYPER, ones_sequence(2, 4).normalized()),
         (parse_form_spec("mat:3:0,0,1,0,1,0,1,0,0"), SmoothWeight(3, 1)),
@@ -908,6 +908,31 @@ def test_report_from_block_rows_over_many_chunks(monkeypatch):
         assert repr(reports[0]) == repr(reports[1])
         want = _every_cell_report(monkeypatch, form, seq, grids, 6.0)
         _assert_same_report(reports[0], want)
+
+
+def test_block_rows_start_no_worker(monkeypatch):
+    # the row scan reads one field generator per block side by side, all on
+    # the consumer's thread, even where each would take many chunks
+    monkeypatch.setattr(expsum, "_WORKERS", 2)
+    monkeypatch.setattr(expsum, "_CHUNK_BYTES", 16 * 2 * 13 * 5)
+    form = parse_form_spec("diag:1,1,-1")
+    seq, grid = SmoothWeight(3, 1), TorusGrid(3, 200, 13, (0.3, 0.1, 0.2, 0.7))
+    baseline, seen = threading.active_count(), []
+    real = moments._reduce_rows
+
+    def counting(*args):
+        seen.append(threading.active_count() - baseline)
+        return real(*args)
+
+    monkeypatch.setattr(moments, "_reduce_rows", counting)
+    rep = moments.build_report(form, seq, [grid], 6.0)
+    assert len(seen) > 2 and max(seen) == 0
+    # the worker slot is free again for the next generator
+    gen = expsum.iter_field_chunks(form, seq, grid)
+    next(gen)
+    assert threading.active_count() == baseline + 1
+    gen.close()
+    assert rep.sup > 0.0
 
 
 def test_report_from_block_rows_memory():
