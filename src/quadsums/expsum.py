@@ -53,8 +53,7 @@ _WORKERS = min(
 # The worker slot: held by the one field generator whose chunks are computed
 # on a worker, so at most `_WORKERS - 1` = 1 worker runs at a time. A
 # generator that starts while it is held computes its chunks on the
-# consumer's thread; the row scan of `moments`, which reads one generator
-# per block side by side, holds it so that all of them do.
+# consumer's thread, as all of `_block_fields`' do: it holds the slot.
 _PREFETCH = threading.Lock()
 
 
@@ -190,8 +189,7 @@ def iter_field_chunks(
         else:
             a = functools.reduce(np.multiply.outer, [source.factors[i] for i in ax])
         boxes.append((_twist(R, a, o[0], [o[1 + i] for i in ax]), R % m_alpha))
-        # a box's axes are ascending, so its values reshape onto them
-        shapes.append((-1,) + tuple(m if i in ax else 1 for i in range(d)))
+        shapes.append(_on_axes(ax, d, m))
 
     def compute(start: int, out: np.ndarray) -> None:
         # the only place a chunk is computed. It may run on the worker thread,
@@ -230,6 +228,43 @@ def iter_field_chunks(
             yield ahead[1:]
     finally:
         _PREFETCH.release()
+
+
+def _on_axes(ax: Sequence[int], d: int, m: int) -> tuple[int, ...]:
+    """The shape that lays a block's chunk, on ascending axes `ax`, onto d."""
+    return (-1,) + tuple(m if i in ax else 1 for i in range(d))
+
+
+def _block_fields(
+    form: QuadraticForm, source: CoefficientSequence, grid: TorusGrid
+) -> Iterator[list[np.ndarray]]:
+    """Yield, per alpha chunk, the field of each block of `form` for a
+    sequence that declares `factors`, laid onto the grid's axes by
+    `_on_axes`, so that their broadcast product is the field (F = prod_B F_B).
+    Each comes from `iter_field_chunks` on the block's form, factors and
+    theta offsets, in chunks that line up across blocks and hold at most
+    `_CHUNK_BYTES` for any block, or for the product of all but the last.
+    All are computed on the consumer's thread: this holds the worker slot
+    `_PREFETCH` while it runs, when it is free."""
+    d, m, o = source.dim, grid.m_theta, grid.offset
+    if grid.dim != d:
+        raise ValueError("grid dim does not match the sequence dim")
+    e = len(form.blocks[-1][0])  # the last block's axes; the others have d - e
+    chunk = max(1, _CHUNK_BYTES // (16 * m ** max(d - e, e)))
+    fields, shapes = [], []
+    for ax, block in form.blocks:
+        a = [source.factors[i] for i in ax]
+        seq = CoefficientSequence(len(ax), source.radius, None, factors=a)
+        sub = TorusGrid(len(ax), grid.m_alpha, m, (o[0],) + tuple(o[1 + i] for i in ax))
+        fields.append(iter_field_chunks(block, seq, sub, chunk))
+        shapes.append(_on_axes(ax, d, m))
+    held = _PREFETCH.acquire(blocking=False)
+    try:
+        for chunks in zip(*fields, strict=True):
+            yield [v.reshape(s) for (_, v), s in zip(chunks, shapes)]
+    finally:
+        if held:
+            _PREFETCH.release()
 
 
 def _twist(

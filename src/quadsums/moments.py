@@ -29,8 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .quadform import QuadraticForm
-from . import expsum
-from .expsum import TorusGrid, _r_grid, iter_field_chunks
+from .expsum import TorusGrid, _block_fields, _r_grid, iter_field_chunks
 from .sequences import CoefficientSequence, SmoothWeight
 
 __all__ = [
@@ -461,10 +460,11 @@ class _Cuts:
     sup, truncated moments ((p, absolute threshold) pairs) and level counts.
 
     `add` takes one block of |F|. Cells below `lo`, the smallest threshold
-    or positive rung, reach no truncated moment and no positive rung; a rung
-    at 0 counts every cell. Each block's truncated sums are kept apart and
-    added exactly (`math.fsum`) by `scan`: a running float sum over hundreds
-    of blocks would drift by several ulp.
+    or positive rung (+inf when there is none), reach no truncated moment
+    and no positive rung; a rung at 0 counts every cell without reading one.
+    Each block's truncated sums are kept apart and added exactly
+    (`math.fsum`) by `scan`: a running float sum over hundreds of blocks
+    would drift by several ulp.
     """
 
     def __init__(self, thresholds, lambdas):
@@ -477,13 +477,15 @@ class _Cuts:
         if not all(np.isfinite(t) for _, t in self.thresholds):
             raise ValueError("threshold must be finite")
         self.rungs = self.lams[self.lams > 0]
-        self.lo = min([t for _, t in self.thresholds] + list(self.rungs), default=0.0)
+        self.lo = min([t for _, t in self.thresholds] + list(self.rungs), default=math.inf)
         self.trunc = {key: [] for key in self.thresholds}
         self.hist = np.zeros(self.rungs.size + 1, dtype=np.int64)
         self.sup = 0.0
 
     def add(self, mag: np.ndarray) -> None:
         self.sup = max(self.sup, float(mag.max()))
+        if self.lo == math.inf:
+            return  # nothing to cut
         tail = mag if self.lo <= 0 else mag[mag >= self.lo]
         for p, thr in self.thresholds:
             kept = tail[tail >= thr]
@@ -528,16 +530,14 @@ def scan_field(
     or above the smallest cut. Chunking and blocking are deterministic, so
     accumulation order and results are reproducible run to run.
 
-    A source that declares `factors` on a form of two or more blocks, asked
-    for a positive cut (a threshold or a rung above 0), is reduced from the
-    blocks' rows by `_scan_rows`, which forms only the cells a cut or the sup
-    can reach: `sup` and the levels are the every-cell scan's bit for bit,
-    the moments may move in the last ulp, and the field spans count the
-    blocks' rows instead of the cells. Any other scan reads every cell
-    (`_scan_cells`); with no positive cut every row would be live.
+    A source that declares `factors` on a form of two or more blocks is read
+    from the blocks' rows (`_scan_rows`), any other cell by cell
+    (`_scan_cells`). The rows form only the cells a cut or the sup can
+    reach: `sup` and the levels are the every-cell scan's bit for bit, and
+    the moments may move in the last ulp.
     """
     cuts = _Cuts(thresholds, lambdas)
-    if source.factors is not None and len(form.blocks) >= 2 and cuts.lo > 0:
+    if source.factors is not None and len(form.blocks) >= 2:
         return _scan_rows(form, source, grid, p_values, cuts)
     return _scan_cells(form, source, grid, p_values, cuts)
 
@@ -561,72 +561,38 @@ def _scan_rows(
     form: QuadraticForm, source, grid: TorusGrid, p_values, cuts: _Cuts
 ) -> FieldScan:
     """`scan_field` of a sequence that declares `factors` on a form of two
-    or more blocks, from the blocks' rows, since F = prod_B F_B.
+    or more blocks, from the blocks' fields (`expsum._block_fields`).
 
-    Each block's field comes from `iter_field_chunks` on the block's form,
-    factors and theta offsets, in alpha chunks that line up across blocks; a
-    chunk of any block, or of A, holds at most `_CHUNK_BYTES`. A slice's
-    p-th moment is the product over blocks of sum |F_B|^p, and the slices
-    are added with `math.fsum`. A is the product of every block but the
-    last, B, formed as the field engine forms it; a row j of A (one alpha,
-    one point of A's theta axes) bounds its cells by |A_j| max|B|. Only rows
-    whose bound reaches (1 - 2^-40) min(smallest cut, largest bound so far)
-    form their cells A_j B, in the engine's operand order, for `_Cuts`.
-    Every cell at or above a cut, and every cell that can be the sup, is in
-    such a row: `sup` and the level counts are a full scan's bit for bit,
-    and the moment sums may move in the last ulp. The rows are computed on
-    this thread: the scan holds the worker slot `expsum._PREFETCH`, when it
-    is free, so that none of its generators starts a worker (one per block
-    cost criterion 08 about 6 MiB of RSS, and one about 4 MiB, for no time).
+    A slice's p-th moment is the product over blocks of sum |F_B|^p; the
+    slices add with `math.fsum`. A, the product of every block but the last
+    B as the field engine forms it, bounds the cells of its row j (one
+    alpha, one point of A's theta axes) by |A_j| max|B|. Only rows whose
+    bound reaches (1 - 2^-40) min(smallest cut, largest bound so far) form
+    their cells A_j B, in the engine's operand order, for `_Cuts`: every
+    cell at or above a cut, or that can be the sup, is in such a row.
     """
-    d, m = source.dim, grid.m_theta
-    if grid.dim != d:
-        raise ValueError("grid dim does not match the sequence dim")
-    e = len(form.blocks[-1][0])  # the axes of B; A has the other d - e
-    chunk = max(1, expsum._CHUNK_BYTES // (16 * m ** max(d - e, e)))
-    o = grid.offset
-    fields = [
-        iter_field_chunks(
-            block,
-            CoefficientSequence(
-                len(ax), source.radius, None, factors=[source.factors[i] for i in ax]
-            ),
-            TorusGrid(len(ax), grid.m_alpha, m, (o[0],) + tuple(o[1 + i] for i in ax)),
-            chunk,
-        )
-        for ax, block in form.blocks
-    ]
-    shapes = [
-        (-1,) + tuple(m if i in ax else 1 for i in range(d)) for ax, _ in form.blocks
-    ]
     slices = {p: [] for p in p_values}
     top = 0.0  # the largest row bound so far
-    held = expsum._PREFETCH.acquire(blocking=False)
-    try:
-        for chunks in zip(*fields, strict=True):
-            top = _reduce_rows([v for _, v in chunks], shapes, slices, cuts, top)
-    finally:
-        if held:
-            expsum._PREFETCH.release()
+    for parts in _block_fields(form, source, grid):
+        top = _reduce_rows(parts, slices, cuts, top)
     return cuts.scan(grid, {p: math.fsum(v) for p, v in slices.items()})
 
 
-def _reduce_rows(vals, shapes, slices, cuts: _Cuts, top: float) -> float:
-    """One alpha chunk of `_scan_rows`: the blocks' rows `vals`, reshaped
-    onto the field's axes by `shapes`. Appends each slice's moments to
-    `slices`, feeds the live rows' cells to `cuts`, returns the new largest
-    row bound. Its temporaries are gone before the next chunk is read."""
-    k = len(vals[0])
+def _reduce_rows(parts, slices, cuts: _Cuts, top: float) -> float:
+    """One alpha chunk of `_scan_rows`: the blocks' rows `parts`, laid onto
+    the field's axes. Appends each slice's moments to `slices`, feeds the
+    live rows' cells to `cuts`, returns the new largest row bound. Its
+    temporaries are gone before the next chunk is read."""
+    k = len(parts[0])
     sums = {p: [] for p in slices}
-    for v in vals:  # one block's |F_B| at a time
+    for v in parts:  # one block's |F_B| at a time
         mag = np.abs(v).reshape(k, -1)
         for p in sums:
             sums[p].append(_pow(mag, p).sum(axis=1))
     for p in sums:
         slices[p] += reduce(np.multiply, sums[p]).tolist()
-    parts = [v.reshape(shape) for v, shape in zip(vals, shapes)]
     a = reduce(np.multiply, parts[:-1]).reshape(k, -1)
-    b = vals[-1].reshape(k, -1)
+    b = parts[-1].reshape(k, -1)
     bound = np.abs(a)
     bound *= mag.max(axis=1)[:, None]  # max |B| per slice
     top = max(top, float(bound.max()))
@@ -650,8 +616,11 @@ def layer_cake_moment(form: QuadraticForm, source, grid: TorusGrid, p) -> float:
 
     Discretizes the layer-cake identity int |F|^p = p int lam^{p-1}|E_lam| dlam
     in two scans: one for sup|F|, one for the level measures. Agreement with
-    the scanned moment is a consistency check, not an exact identity.
+    the scanned moment is a consistency check, not an exact identity. A p
+    below 1 or not finite raises ValueError: the sum needs lam^{p-1} at 0.
     """
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     sup = scan_field(form, source, grid, p_values=()).sup
     if sup == 0.0:
         return 0.0
@@ -722,17 +691,13 @@ def build_report(
     `sup` is their max, and `spread` is the larger relative spread of the full
     and truncated moments (0.0 for one grid). A sequence that declares
     `factors` on a form of two or more blocks is scanned from the blocks'
-    rows whenever its threshold is positive (see `scan_field`), which forms
-    only the cells that can reach the threshold, a positive level or the
-    sup: `sup`, the levels, `exact`, `oracle_full` and `grid_info` are those
-    of the every-cell scan bit for bit, and the grid's full and truncated
-    moments may move in the last ulp. Even p also runs the exact
-    counting oracle; the full moment then reports the exact value, unless the
-    oracle refuses (ValueError, over its key-table budget) or leaves its
-    exact arithmetic range (ArithmeticError), and the grid mean stands.
-    `exact` says whether the first grid is Nyquist-exact for the
-    sequence's radius. N is the weight's N for a SmoothWeight and the radius
-    otherwise. A p or C that is not positive and finite raises ValueError.
+    rows (see `scan_field`). Even p also runs the exact counting oracle; the
+    full moment then reports the exact value, unless the oracle refuses
+    (ValueError, over its key-table budget) or leaves its exact arithmetic
+    range (ArithmeticError), and the grid mean stands. `exact` says whether
+    the first grid is Nyquist-exact for the sequence's radius. N is the
+    weight's N for a SmoothWeight and the radius otherwise. A p or C that is
+    not positive and finite raises ValueError.
     """
     if not np.isfinite(C):
         raise ValueError("C must be finite")

@@ -18,6 +18,11 @@ from quadsums import (
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
+def _block_rows(form, grid):
+    # the cells of each block's rows, m_alpha * m_theta^e for a block of e axes
+    return sum(grid.m_alpha * grid.m_theta ** len(ax) for ax, _ in form.blocks)
+
+
 def _load_spans(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
@@ -47,8 +52,9 @@ def test_install_and_uninstall_restore_originals(monkeypatch):
 
 
 def test_field_spans_count_every_cell(monkeypatch):
-    # both engine branches yield through iter_field_chunks, so the benchmark's
-    # expsum.field spans cover the whole grid exactly once
+    # every scan reads through iter_field_chunks, so the benchmark's
+    # expsum.field spans cover each block's rows of a factored source on two
+    # or more blocks, or every cell of any other, exactly once
     spans = _load_spans(monkeypatch)
     hyper, cross = parse_form_spec("diag:1,-1"), parse_form_spec("mat:2:0,1,1,0")
     cases = (
@@ -66,12 +72,15 @@ def test_field_spans_count_every_cell(monkeypatch):
             tracer.uninstall()
         field = [s for s in tracer.take() if s.name == spans.FIELD]
         assert field
-        assert sum(s.counts.get("cells", 0) for s in field) == grid.total_cells
+        want = grid.total_cells if source.factors is None else _block_rows(form, grid)
+        assert sum(s.counts.get("cells", 0) for s in field) == want
 
 
 def test_field_spans_close_in_order_with_a_worker(monkeypatch):
     # with the next chunk computed on a worker thread, every field span still
-    # opens and closes on the consumer's thread, one per chunk, in order
+    # opens and closes on the consumer's thread, one per chunk, in order; the
+    # scan's spans cover each block's rows of case 1, or every cell of case 2,
+    # exactly once, and the direct read every cell
     spans = _load_spans(monkeypatch)
     monkeypatch.setattr(expsum, "_WORKERS", 2)
     cases = (
@@ -94,7 +103,9 @@ def test_field_spans_close_in_order_with_a_worker(monkeypatch):
             tracer.uninstall()
         recorded = tracer.take()  # raises if a span is still open
         field = [s for s in recorded if s.name == spans.FIELD]
-        assert len(field) >= 2 * 7
+        direct = [s for s in field if s.parent < 0]
+        rows = source.factors is not None
+        assert (len(direct) >= 7) if rows else (len(field) >= 2 * 7)
         for s in recorded:
             assert s.start <= s.end
             if s.parent >= 0:
@@ -104,8 +115,9 @@ def test_field_spans_close_in_order_with_a_worker(monkeypatch):
             assert a.end <= b.start
         in_scan = [s for s in field if s.parent >= 0]
         assert all(recorded[s.parent].name == spans.SCAN for s in in_scan)
-        for group in (in_scan, [s for s in field if s.parent < 0]):
-            assert sum(s.counts.get("cells", 0) for s in group) == grid.total_cells
+        scanned = _block_rows(form, grid) if rows else grid.total_cells
+        for group, want in ((in_scan, scanned), (direct, grid.total_cells)):
+            assert sum(s.counts.get("cells", 0) for s in group) == want
 
 
 def test_block_row_spans_count_the_rows(monkeypatch):

@@ -669,6 +669,11 @@ def test_layer_cake_agrees_with_direct_moment():
     direct = moments.scan_field(LINE, seq, grid, p_values=(4,)).moments[4]
     layered = moments.layer_cake_moment(LINE, seq, grid, 4)
     assert abs(layered - direct) <= 0.02 * direct
+    # the left Riemann sum needs lam^(p-1) finite at lam = 0
+    grid = TorusGrid(1, 40, 17, (0, 0))
+    for bad in (0.5, 0, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="p must"):
+            moments.layer_cake_moment(LINE, ones_sequence(1, 4), grid, bad)
 
 
 def test_scan_field_matches_materialized_field():
@@ -837,26 +842,29 @@ def _assert_same_report(got, want):
     assert got.spread == pytest.approx(want.spread, abs=1e-13)
 
 
+# factored sources on forms of two or more blocks: each takes the row path
+_FACTORED_CASES = [
+    (HYPER, ones_sequence(2, 3).normalized()),
+    (HYPER, SmoothWeight(2, 3)),
+    (HYPER, delta_sequence(2, 2)),
+    (parse_form_spec("diag:2,-3"), ones_sequence(2, 3).normalized()),
+] + [
+    (parse_form_spec(spec), ones_sequence(3, 2).normalized())
+    for spec in (
+        "diag:1,1,-1",
+        "mat:3:0,1,0,1,0,0,0,0,1",
+        # blocks {0, 2} and {1}: the last block is not the trailing axis
+        "mat:3:0,0,1,0,1,0,1,0,0",
+    )
+]
+
+
 def test_report_from_block_rows_matches_the_field(monkeypatch):
     # a factored source takes the block-row path; its report equals the one
     # read cell by cell from the same field, and its sup and moments equal,
     # to rounding, those of the same values without factors (d-dim engine)
     rng = np.random.default_rng(24)
-    cases = [
-        (HYPER, ones_sequence(2, 3).normalized()),
-        (HYPER, SmoothWeight(2, 3)),
-        (HYPER, delta_sequence(2, 2)),
-        (parse_form_spec("diag:2,-3"), ones_sequence(2, 3).normalized()),
-    ] + [
-        (parse_form_spec(spec), ones_sequence(3, 2).normalized())
-        for spec in (
-            "diag:1,1,-1",
-            "mat:3:0,1,0,1,0,0,0,0,1",
-            # blocks {0, 2} and {1}: the last block is not the trailing axis
-            "mat:3:0,0,1,0,1,0,1,0,0",
-        )
-    ]
-    for form, seq in cases:
+    for form, seq in _FACTORED_CASES:
         d, r = seq.dim, seq.radius
         grids = [TorusGrid.random_offset(d, 97, 2 * r + 3, rng) for _ in range(3)]
         ladder = moments.default_levels(seq, 9)
@@ -888,6 +896,30 @@ def test_report_from_block_rows_matches_the_field(monkeypatch):
     with pytest.raises(ValueError, match="grid dim"):
         grid = TorusGrid(3, 9, 7, (0,) * 4)
         moments.build_report(HYPER, ones_sequence(2, 2), [grid], 4.0)
+
+
+def test_scans_with_no_cut_from_block_rows_match_the_field(monkeypatch):
+    # with no cut only the rows that can reach the sup form cells: the sup,
+    # the levels and the layer-cake value are the every-cell scan's bit for
+    # bit, and the moments equal it to rounding
+    rng = np.random.default_rng(26)
+    for form, seq in _FACTORED_CASES:
+        grid = TorusGrid.random_offset(seq.dim, 97, 2 * seq.radius + 3, rng)
+        calls = (
+            lambda: moments.scan_field(form, seq, grid, p_values=(2.0, 6.0)),
+            lambda: moments.scan_field(form, seq, grid, p_values=(), lambdas=(0.0,)),
+            lambda: moments.layer_cake_moment(form, seq, grid, 6.0),
+        )
+        got = [call() for call in calls]
+        with monkeypatch.context() as m:
+            m.setattr(moments, "_scan_rows", moments._scan_cells)
+            want = [call() for call in calls]
+        for scan, cells in zip(got[:2], want[:2]):
+            assert scan.sup == cells.sup > 0.0
+            assert scan.levels == cells.levels
+            assert scan.moments == pytest.approx(cells.moments, rel=1e-13)
+        assert got[1].levels == [(0.0, 1.0)]
+        assert got[2] == want[2]
 
 
 def test_report_from_block_rows_over_many_chunks(monkeypatch):
