@@ -312,16 +312,21 @@ class MollifierFamily:
 
     def rho_values(self, alphas: Iterable[float]) -> np.ndarray:
         """rho at every alpha in one pass, equal to lambda_rho(alpha)[1] bit
-        for bit: the same fold, holder search and one bump call."""
+        for bit: 1 - `_lambda_values`."""
+        return 1.0 - self._lambda_values(alphas)
+
+    def _lambda_values(self, alphas: Iterable[float]) -> np.ndarray:
+        """lambda at every alpha in one pass, equal to lambda_rho(alpha)[0]
+        bit for bit: the same fold, holder search and one bump call."""
         alpha = np.asarray(
             alphas if isinstance(alphas, np.ndarray) else list(alphas), dtype=float
         )
         if not np.isfinite(alpha).all():
             raise ValueError("alpha must be finite")
-        rho = np.ones_like(alpha)
+        lam = np.zeros_like(alpha)
         n = len(self._centres)
         if n == 0:
-            return rho
+            return lam
         x = alpha % 1.0
         x[x <= 1.0 / (2 * self.N1)] += 1.0
         i = np.searchsorted(self._centres, x, side="right")
@@ -332,8 +337,8 @@ class MollifierFamily:
         t_right = self._scales[right] * (x - self._centres[right])
         t = np.where(np.abs(t_left) < 2, t_left, t_right)
         held = np.abs(t) < 2
-        rho[held] = 1.0 - bump(t[held])
-        return rho
+        lam[held] = bump(t[held])
+        return lam
 
     # -- integrals and Fourier data
 

@@ -42,6 +42,14 @@ __all__ = [
 # that a chunk is still in cache when its consumer reads it back.
 _CHUNK_BYTES = 2 * 2**20
 
+# Bytes of each temporary that the hot path makes per block of its work: the
+# twist of a field chunk here, and in `moments` the fold's key and weight
+# blocks, the pair counts' FFT rows and the row scan's per-slice arrays.
+# Arrays this small are served from memory the allocator has already mapped,
+# so they cost no page faults; fresh arrays of several MiB each cost a page
+# fault per 4 KiB. Nothing is kept between calls, and no result depends on it.
+_SCRATCH_BYTES = 2**19
+
 # Threads that compute field chunks: with 2, the next chunk is computed on a
 # worker thread while the consumer reads the current one. The chunks do not
 # depend on it, so neither does any value.
@@ -292,21 +300,26 @@ def _chunk_fft(
     base(n) is twisted by the root-table entry e(j/m_alpha), j = k R(n) mod
     m_alpha (exact in int64, so no phase error grows with k R(n)), placed at
     n mod m of a zeroed array and transformed there by an unnormalized
-    inverse FFT (sign convention e(+theta . n)).
+    inverse FFT (sign convention e(+theta . n)). The indices and the twist
+    are built per sub-block of alphas whose twist fits in `_SCRATCH_BYTES`.
     """
     base, r_mod = box
     e, r = base.ndim, (base.shape[0] - 1) // 2
     vals = np.empty((len(k),) + (m,) * e, dtype=np.complex128) if out is None else out
     vals.fill(0)
-    twist = roots[np.multiply.outer(k, r_mod) % len(roots)]
-    # one product over the whole box: numpy rounds a one-element product by
-    # another loop, so per-corner products would make values depend on chunk
-    twist *= base
     # n in [-r, r] sits at n mod m: box[r:] goes to [0, r], box[:r] to [m-r, m)
     halves = ((slice(r, None), slice(0, r + 1)), (slice(None, r), slice(m - r, m)))
-    for corner in itertools.product(halves, repeat=e):
-        at, to = zip(*corner)
-        vals[(..., *to)] = twist[(..., *at)]
+    step = max(1, _SCRATCH_BYTES // (16 * base.size))
+    for j in range(0, len(k), step):
+        idx = np.multiply.outer(k[j : j + step], r_mod)
+        twist = roots[np.remainder(idx, len(roots), out=idx)]
+        # one product over the whole box: numpy rounds a one-element product
+        # by another loop, so per-corner products would make values depend on
+        # chunk
+        twist *= base
+        for corner in itertools.product(halves, repeat=e):
+            at, to = zip(*corner)
+            vals[(slice(j, j + step), *to)] = twist[(..., *at)]
     return np.fft.ifftn(vals, axes=tuple(range(1, e + 1)), norm="forward", out=vals)
 
 

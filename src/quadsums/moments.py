@@ -5,8 +5,8 @@ p/2-fold self-convolution of the coefficients, bucketed by the frequency key
 (sum R(n_i), sum n_i)), and equal-weight quadrature over a TorusGrid, which is
 itself exact once the grid outruns the trigonometric degree of |F|^p.
 
-The oracle folds sparse buckets: mixed-radix int64 keys binned with
-`np.bincount`, keeping only nonzero buckets, at S x nnz work per level. Inputs
+The oracle folds sparse buckets: mixed-radix int64 keys added up with
+`np.add.at`, keeping only nonzero buckets, at S x nnz work per level. Inputs
 whose nonzero coefficients share one value take a counting path in integers
 (exact for 0/1 coefficients); others fold real and imaginary parts in
 float64. Its `max_entries` budget caps the key table, which bounds memory but
@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import expsum
 from .quadform import QuadraticForm
 from .expsum import TorusGrid, _block_fields, _r_grid, iter_field_chunks
 from .sequences import CoefficientSequence, SmoothWeight
@@ -68,10 +69,6 @@ def _even_p(p) -> int:
     return int(p)
 
 
-# Entries of the (bucket keys x point keys) outer sum binned at once.
-_FOLD_CHUNK = 2**20
-
-
 def even_moment_exact(
     form: QuadraticForm, source, p: int, max_entries: int = 2**26
 ) -> float:
@@ -81,17 +78,18 @@ def even_moment_exact(
     W(sum R(n_i), sum n_i) = sum over p/2-tuples of prod a(n_i); the moment is
     sum |W|^2. Each support point is encoded once as a mixed-radix int64 key
     (R(n) - R_min, then each coordinate) with the radices of the final key
-    table, so a sum of p/2 keys has no carries. A fold bins the outer sum of
-    the nonzero bucket keys and the point keys with `np.bincount`, in chunks,
-    and keeps only the nonzero buckets: S x nnz work per level for S support
-    points and nnz buckets.
+    table, so a sum of p/2 keys has no carries. A fold adds the outer sum of
+    the nonzero bucket keys and the point keys into its key range with
+    `np.add.at`, in blocks, and keeps only the nonzero buckets: S x nnz work
+    per level for S support points and nnz buckets.
 
     When every nonzero coefficient has one value c, the weights are tuple
     counts, kept in float64 below 2^53 and squared and summed in int64 below
     2^63 (either check failing raises ArithmeticError); the moment is then
     count * |c|^p, formed in exact rationals and rounded once, so it is exact
     for 0/1 coefficients. Other coefficients fold their real and imaginary
-    parts in float64, in a fixed order, so the result is reproducible.
+    parts in float64, each bucket in row-major order of (bucket, point)
+    whatever the block size, so the result is reproducible.
 
     A form of two or more blocks with a sequence that declares `factors`,
     each constant on its support, takes the factorized count of
@@ -169,8 +167,6 @@ def _product_supports(form: QuadraticForm, source):
     return None if c == 0 else (supports, c)
 
 
-# Bytes of the complex spectrum block in `_pair_counts`.
-_PAIR_FFT_BYTES = 2**22
 # c in the pair counts' empirical float error model (c log2(n_fft) + n_s) 2^-53 C(0).
 _FFT_ERROR = 8.0
 
@@ -185,7 +181,8 @@ def _pair_counts(points, u: np.ndarray, k: int, max_entries: int) -> np.ndarray:
     each level's own u range; then C(t) = sum over s of the autocorrelation
     of W_k(., s) at lag t, from one real FFT per row, zero-padded to
     n_fft >= 2 n_u - 1 so that nothing wraps, with the power spectra summed
-    over s in blocks of `_PAIR_FFT_BYTES`.
+    over s in blocks of rows whose spectrum fits in `expsum._SCRATCH_BYTES`,
+    through one row buffer and one spectrum buffer.
 
     Every |C(t)| is at most C(0) = sum W_k^2. The float error of each C(t)
     is modelled as (_FFT_ERROR log2(n_fft) + n_s) 2^-53 C(0): the FFTs add
@@ -227,16 +224,23 @@ def _pair_counts(points, u: np.ndarray, k: int, max_entries: int) -> np.ndarray:
         point_keys = (s * stride + (u - u_lo))[order]
         keys, w = _fold(row * stride + col, w, point_keys, None)
     bound = model * float(np.dot(w, w))
-    rows = max(1, _PAIR_FFT_BYTES // (16 * (n_fft // 2 + 1)))
+    n_h = n_fft // 2 + 1
+    rows = max(1, min(n_s, expsum._SCRATCH_BYTES // (16 * n_h)))
     row_of, col_of = np.divmod(keys, n_u)
     cuts = np.searchsorted(row_of, np.arange(0, n_s + rows, rows))
-    power = np.zeros(n_fft // 2 + 1)
+    power = np.zeros(n_h)
+    # one zero-padded row block and one spectrum, reused by every block
+    block, spec = np.empty((rows, n_fft)), np.empty((rows, n_h), dtype=np.complex128)
     for b in range(cuts.size - 1):
         lo, hi = cuts[b], cuts[b + 1]
-        block = np.zeros((min(rows, n_s - b * rows), n_fft))
+        n = min(rows, n_s - b * rows)
+        block[:n].fill(0.0)
         block[row_of[lo:hi] - b * rows, col_of[lo:hi]] = w[lo:hi]
-        spec = np.fft.rfft(block, axis=1)
-        power += (spec.real**2 + spec.imag**2).sum(axis=0)
+        np.fft.rfft(block[:n], axis=1, out=spec[:n])
+        sq = spec[:n].view(np.float64)  # re, im interleaved
+        np.square(sq, out=sq)
+        np.add(sq[:, 0::2], sq[:, 1::2], out=sq[:, 0::2])
+        power += sq[:, 0::2].sum(axis=0)
     corr = np.fft.irfft(power, n_fft)[:n_u]
     counts = np.rint(corr)
     if np.max(np.abs(corr - counts)) > bound:
@@ -313,27 +317,23 @@ def _fold(keys, w, point_keys, point_w):
     pmin, pmax = int(point_keys[0]), int(point_keys[-1])
     lo = int(keys[0]) + pmin
     acc = np.zeros((1 if point_w is None else 2, int(keys[-1]) + pmax + 1 - lo))
-    # A block of rows x points reaches a key slice about rows * row_step +
-    # points * point_step long; split the chunk to keep that slice short.
-    row_step = (int(keys[-1]) - int(keys[0]) + 1) / keys.size
-    point_step = (pmax - pmin + 1) / n_pts
-    balanced = round((_FOLD_CHUNK * row_step / point_step) ** 0.5)
-    cols = min(n_pts, _FOLD_CHUNK, max(1, balanced, _FOLD_CHUNK // keys.size))
-    rows = max(1, _FOLD_CHUNK // cols)
-    for c0 in range(0, n_pts, cols):
-        pk = point_keys[c0 : c0 + cols]
-        for r0 in range(0, keys.size, rows):
-            ks = keys[r0 : r0 + rows]
-            c_lo = int(ks[0]) + int(pk[0])
-            n = int(ks[-1]) + int(pk[-1]) + 1 - c_lo
-            kk = (ks[:, None] + (pk - c_lo)).ravel()
-            sl = acc[:, c_lo - lo : c_lo - lo + n]
+    # Entries of the (bucket keys x point keys) outer sum added at once, so
+    # that their keys (8 bytes an entry) and weights (8, or 16 if complex)
+    # each fit the budget. Whole rows while one fits, else pieces of one row:
+    # the entries reach each bucket in row-major order whatever the size.
+    entries = max(1, expsum._SCRATCH_BYTES // (8 if point_w is None else 16))
+    cols = min(n_pts, entries)
+    rows = max(1, entries // cols)
+    for r0 in range(0, keys.size, rows):
+        for c0 in range(0, n_pts, cols):
+            pk = point_keys[c0 : c0 + cols] - lo
+            kk = (keys[r0 : r0 + rows, None] + pk).ravel()
             if point_w is None:
-                sl[0] += np.bincount(kk, np.repeat(w[r0 : r0 + rows], pk.size), n)
+                np.add.at(acc[0], kk, np.repeat(w[r0 : r0 + rows], pk.size))
             else:
                 ww = (w[r0 : r0 + rows, None] * point_w[c0 : c0 + cols]).ravel()
-                sl[0] += np.bincount(kk, ww.real, n)
-                sl[1] += np.bincount(kk, ww.imag, n)
+                np.add.at(acc[0], kk, ww.real)
+                np.add.at(acc[1], kk, ww.imag)
     hit = np.flatnonzero(acc.any(axis=0))
     if point_w is not None:
         return hit + lo, acc[0, hit] + 1j * acc[1, hit]
@@ -440,9 +440,10 @@ def _pow(mag: np.ndarray, p) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # streaming scan
 
-# Cells of a field chunk reduced at once, so that each pass's temporaries
-# stay in cache instead of streaming chunk-sized arrays through memory.
-_SCAN_BLOCK = 2**15
+# Cells of a field chunk reduced at once, 2^15: their complex values fill the
+# scratch budget, and each pass's temporaries stay in cache. Fixed at import,
+# since it sets which cells are summed together.
+_SCAN_BLOCK = expsum._SCRATCH_BYTES // 16
 
 
 @dataclass
@@ -581,30 +582,55 @@ def _scan_rows(
 def _reduce_rows(parts, slices, cuts: _Cuts, top: float) -> float:
     """One alpha chunk of `_scan_rows`: the blocks' rows `parts`, laid onto
     the field's axes. Appends each slice's moments to `slices`, feeds the
-    live rows' cells to `cuts`, returns the new largest row bound. Its
-    temporaries are gone before the next chunk is read."""
+    live rows' cells to `cuts`, returns the new largest row bound.
+
+    The chunk is read in sub-blocks of slices whose |F_B|, powers, A and
+    bounds each fit in `expsum._SCRATCH_BYTES`, and each batch of live rows
+    gathers its entries of A from the blocks. The live rows are those of the
+    whole chunk at its largest bound: a sub-block whose rows were picked
+    against a smaller bound so far is filtered again at the end."""
     k = len(parts[0])
-    sums = {p: [] for p in slices}
-    for v in parts:  # one block's |F_B| at a time
-        mag = np.abs(v).reshape(k, -1)
-        for p in sums:
-            sums[p].append(_pow(mag, p).sum(axis=1))
-    for p in sums:
-        slices[p] += reduce(np.multiply, sums[p]).tolist()
-    a = reduce(np.multiply, parts[:-1]).reshape(k, -1)
     b = parts[-1].reshape(k, -1)
-    bound = np.abs(a)
-    bound *= mag.max(axis=1)[:, None]  # max |B| per slice
-    top = max(top, float(bound.max()))
-    # the margin is far above the few ulp between a bound and its cells
-    live = np.flatnonzero(bound >= (1 - 2.0**-40) * min(cuts.lo, top))
-    del mag, bound  # only the live rows' cells from here on
+    a_parts = parts[:-1]
+    a_shape = np.broadcast_shapes(*(v.shape for v in a_parts))
+    n_a = math.prod(a_shape[1:])  # rows of A per slice
+    step = max(1, expsum._SCRATCH_BYTES // (16 * max(n_a, b.shape[1])))
+    kept = []  # per sub-block: its rows over the cut, and their bounds if refiltered
+    for s0 in range(0, k, step):
+        sub = [v[s0 : s0 + step] for v in parts]
+        n = len(sub[0])
+        sums = {p: [] for p in slices}
+        for v in sub:  # one block's |F_B| at a time
+            mag = np.abs(v).reshape(n, -1)
+            for p in sums:
+                sums[p].append(_pow(mag, p).sum(axis=1))
+        for p in sums:
+            slices[p] += reduce(np.multiply, sums[p]).tolist()
+        bound = np.abs(reduce(np.multiply, sub[:-1])).reshape(n, -1)
+        bound *= mag.max(axis=1)[:, None]  # max |B| per slice
+        top = max(top, float(bound.max()))
+        cut = min(cuts.lo, top)
+        # the margin is far above the few ulp between a bound and its cells
+        rows = np.flatnonzero(bound >= (1 - 2.0**-40) * cut)
+        # a cut set by the bound so far rises with any larger later bound
+        again = None if cut == cuts.lo else bound.reshape(-1)[rows]
+        kept.append((rows + s0 * n_a, again))
+        del mag, bound  # only the kept rows from here on
+    cut = (1 - 2.0**-40) * min(cuts.lo, top)
+    live = np.concatenate([r if bd is None else r[bd >= cut] for r, bd in kept])
     per = max(1, _SCAN_BLOCK // b.shape[1])  # rows whose cells are formed at once
     for i in range(0, live.size, per):
         batch = live[i : i + per]
-        cells = np.multiply(a.reshape(-1)[batch][:, None], b[batch // a.shape[1]])
+        at = np.unravel_index(batch, a_shape)
+        a = reduce(np.multiply, [_gather(v, at) for v in a_parts])
+        cells = np.multiply(a[:, None], b[batch // n_a])
         cuts.add(np.abs(cells).ravel())
     return top
+
+
+def _gather(v: np.ndarray, at) -> np.ndarray:
+    """The entries of `v` at the indices `at` of an array it broadcasts to."""
+    return v[tuple(i if size > 1 else 0 for i, size in zip(at, v.shape))]
 
 
 # Levels of the layer-cake Riemann sum, evenly spaced on [0, sup|F|).

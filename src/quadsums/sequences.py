@@ -31,9 +31,16 @@ __all__ = [
 ]
 
 
+class _Fresh(np.ndarray):
+    """A complex128 C array that this module made for one sequence: the
+    sequence takes it over instead of copying it."""
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
-    # a copy, so that the caller's own array stays writable
-    v = np.array(arr, dtype=np.complex128, order="C")
+    if type(arr) is _Fresh:
+        v = arr.view(np.ndarray)
+    else:  # a copy, so that the caller's own array stays writable
+        v = np.array(arr, dtype=np.complex128, order="C")
     v.setflags(write=False)
     return v
 
@@ -94,9 +101,8 @@ class CoefficientSequence:
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero sequence")
         if self.factors is None:
-            return CoefficientSequence(
-                self.dim, self.radius, self.values / nrm, self.label
-            )
+            unit = (self.values / nrm).view(_Fresh)
+            return CoefficientSequence(self.dim, self.radius, unit, self.label)
         facs = (self.factors[0] / nrm,) + self.factors[1:]
         return CoefficientSequence(self.dim, self.radius, None, self.label, facs)
 
@@ -170,16 +176,20 @@ def diagonal_extremizer(dim: int, radius: int, s: int) -> CoefficientSequence:
             idx[i] = n + radius
             idx[s + i] = n + radius
         vals[tuple(idx)] = 1.0
-    return CoefficientSequence(dim, radius, vals, label=f"extremizer(s={s})")
+    label = f"extremizer(s={s})"
+    return CoefficientSequence(dim, radius, vals.view(_Fresh), label=label)
 
 
 def random_unit_sequence(dim: int, radius: int, seed: int) -> CoefficientSequence:
     """Complex Gaussian coefficients normalized to l2 norm 1, reproducible."""
     rng = np.random.default_rng(seed)
     shape = (2 * radius + 1,) * dim
-    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vals = np.empty(shape, dtype=np.complex128)
+    vals.real = rng.standard_normal(shape)  # drawn before the imaginary parts
+    vals.imag = rng.standard_normal(shape)
     vals /= np.linalg.norm(vals.ravel())
-    return CoefficientSequence(dim, radius, vals, label=f"random-unit({seed})")
+    label = f"random-unit({seed})"
+    return CoefficientSequence(dim, radius, vals.view(_Fresh), label=label)
 
 
 def make_sequence(
@@ -221,5 +231,5 @@ def load_sequence(fh: TextIO) -> CoefficientSequence:
             raise ValueError(f"sequence file: line {k + 2}: expected 're im'")
         flat[k] = float(parts[0]) + 1j * float(parts[1])
     return CoefficientSequence(
-        dim, radius, flat.reshape((2 * radius + 1,) * dim), label="file"
+        dim, radius, flat.reshape((2 * radius + 1,) * dim).view(_Fresh), label="file"
     )

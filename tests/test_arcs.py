@@ -540,3 +540,18 @@ def test_arc_label_fields():
     lab = ArcLabel("major", 1, 2, 2, 0.001)
     assert lab.is_major
     assert ArcLabel("minor", None, None, None, None).is_major is False
+
+
+def test_lambda_values_match_lambda_rho():
+    # the batched lambda pass behind rho_values and mollifier-check, bit for
+    # bit against the pointwise route, held points and free ones alike
+    rng = np.random.default_rng(2026)
+    for fam in (MollifierFamily(64), MollifierFamily(256), MollifierFamily(8)):
+        alphas = [a / q + t / (Q * fam.N) for _, a, q, Q in fam._fractions
+                  for t in np.linspace(-1.0, 1.0, 5)]
+        alphas = np.array(alphas + list(rng.random(300)) + [-0.5, 0.0, 1.0])
+        lam = fam._lambda_values(alphas)
+        want = [fam.lambda_rho(float(alpha)) for alpha in alphas]
+        assert _bits(lam) == _bits([w[0] for w in want])
+        assert _bits(1.0 - lam) == _bits(fam.rho_values(alphas))
+        assert _bits(1.0 - lam) == _bits([w[1] for w in want])

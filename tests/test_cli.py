@@ -54,6 +54,25 @@ def test_moment_block_form_exact():
     assert "exact=yes" in out
 
 
+def test_moment_oracle_disagreement_exits_1(monkeypatch):
+    # an oracle that is off by 1e-3 against an exact grid: the run prints
+    # both values and exits 1
+    from quadsums import moments
+
+    exact = moments.even_moment_exact
+    monkeypatch.setattr(
+        moments, "even_moment_exact", lambda *args: exact(*args) * (1 + 1e-3)
+    )
+    code, out, _ = _run(
+        ["moment", "--form", "diag:1,-1", "--family", "extremizer",
+         "--N", "3", "--p", "4", "--grid", "nyquist"]
+    )
+    assert code == 1
+    assert "exact=yes" in out
+    assert "full=19.018999999999998\n" in out
+    assert "DISAGREEMENT: exact oracle 19.018999999999998 vs grid 18.99999" in out
+
+
 def test_truncated_extremizer_degenerate():
     code, out, _ = _run(
         ["truncated", "--form", "diag:1,-1", "--family", "extremizer",

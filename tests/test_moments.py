@@ -475,6 +475,20 @@ def test_factorized_count_checksum(monkeypatch):
         moments.even_moment_exact(HYPER, seq, 4)
 
 
+def test_factorized_count_residual_guard(monkeypatch):
+    # a pair count a third off at every lag still rounds to the right
+    # integers and passes the checksum; only the residual guard sees it
+    seq = ones_sequence(2, 3)
+    irfft = np.fft.irfft
+
+    def off_by_a_third(power, n_fft):
+        return irfft(power, n_fft) + 0.3
+
+    monkeypatch.setattr(np.fft, "irfft", off_by_a_third)
+    with pytest.raises(ArithmeticError, match="residual"):
+        moments.even_moment_exact(HYPER, seq, 4)
+
+
 def test_exact_convolve_int64_and_python_ints():
     rng = np.random.default_rng(5)
     for hi in (2**20, 2**40, 2**62):
@@ -980,3 +994,85 @@ def test_report_from_block_rows_memory():
         tracemalloc.stop()
     assert rep.sup > 0.0
     assert peak < 4 * expsum._CHUNK_BYTES
+
+
+def _budget_outputs():
+    """Everything the scratch budget must not move, as bytes or exact
+    values: fields, row and cell scans, pair-count tables, counting folds."""
+    out = []
+    rng = np.random.default_rng(27)
+    fields = [
+        (HYPER, ones_sequence(2, 3), TorusGrid(2, 40, 9, (0.1, 0.2, 0.3))),
+        (parse_form_spec("mat:2:0,1,1,0"), random_unit_sequence(2, 2, seed=3),
+         TorusGrid(2, 30, 7, (0.3, 0.1, 0.7))),
+        # a one-point box: the last twist sub-block is one alpha, one point
+        (LINE, random_unit_sequence(1, 0, seed=2), TorusGrid(1, 17, 3, (0.4, 0.6))),
+    ]
+    for form, seq, grid in fields:
+        out.append(_field(form, seq, grid).tobytes())
+    for form, seq in _FACTORED_CASES + [(HYPER, random_unit_sequence(2, 3, seed=7))]:
+        grid = TorusGrid.random_offset(seq.dim, 97, 2 * seq.radius + 3, rng)
+        sup = moments.scan_field(form, seq, grid, p_values=()).sup
+        ladder = tuple(moments.default_levels(seq, 9))
+        # every cell, a low cut, and cuts near the sup that the first rows
+        # of a chunk do not reach
+        for thr in (0.0, 0.5 * ladder[2], 0.6 * sup, 0.95 * sup):
+            scan = moments.scan_field(
+                form, seq, grid, p_values=(2.0, 6.0),
+                thresholds=((2.0, thr), (6.0, max(thr, ladder[2]))),
+                lambdas=(thr,) if thr else ladder,
+            )
+            out.append(repr(scan))
+    tables = []
+    real = moments._pair_counts
+
+    def recorded(*args):
+        tables.append(real(*args))
+        return tables[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(moments, "_pair_counts", recorded)
+        for form, seq, p in (
+            (HYPER, ones_sequence(2, 6), 6),
+            (BLOCK3, ones_sequence(3, 3), 4),
+            (parse_form_spec("diag:1,1,-1"), delta_sequence(3, 2), 6),
+        ):
+            out.append(moments.even_moment_exact(form, seq, p))
+    out += [t.tobytes() for t in tables]
+    # the sparse fold: its counting path (one value on the support) and, as
+    # it adds every bucket in one order, complex weights too
+    for form, seq, p in (
+        (HYPER, diagonal_extremizer(2, 8, 1), 6),
+        (parse_form_spec("mat:2:0,1,1,0"), _without_factors(np.ones((9, 9))), 6),
+        (parse_form_spec("diag:1,1,-1"), _without_factors(np.ones((5, 5, 5))), 4),
+        (HYPER, random_unit_sequence(2, 4, seed=3), 6),
+        (parse_form_spec("mat:2:0,1,1,0"), random_unit_sequence(2, 5, seed=4), 4),
+    ):
+        out.append(moments.even_moment_exact(form, seq, p))
+    return out
+
+
+def test_scratch_budget_moves_no_output(monkeypatch):
+    # a budget of a few hundred bytes splits every twist, fold, FFT row block
+    # and row-scan chunk into many pieces; nothing it sizes moves a bit. Scan
+    # blocks of 64 cells put the live rows of a chunk in many batches
+    monkeypatch.setattr(moments, "_SCAN_BLOCK", 64)
+    default = _budget_outputs()
+    monkeypatch.setattr(expsum, "_SCRATCH_BYTES", 300)
+    assert _budget_outputs() == default
+
+
+def test_pair_counts_memory():
+    # ones on diag:1,-1, N = 24, p = 6: the 145 rows of the 1,801-column u
+    # table are transformed a few at a time through one row and one spectrum
+    # buffer, so the peak is the tables themselves and a few budgets
+    n = np.arange(-24, 25)
+    u = n * (n - 1) // 2
+    tracemalloc.start()
+    try:
+        counts = moments._pair_counts([n], u, 3, 2**26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[0] == 1025977
+    assert peak < 6 * expsum._SCRATCH_BYTES

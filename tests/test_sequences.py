@@ -276,3 +276,24 @@ def test_product_sequences_are_built_once():
     form = parse_form_spec("diag:1,1,-1,-1")
     _, peak = _peak(lambda: representation_count(form, seq, 4))
     assert peak <= 3.0 * seq.values.nbytes
+
+
+def test_other_sequences_are_built_once():
+    # the fresh array a builder makes is the sequence's own, with no copy;
+    # random-unit draws its real parts, then its imaginary parts, in place
+    seq, peak = _peak(lambda: random_unit_sequence(3, 24, seed=1))
+    assert peak <= 1.6 * seq.values.nbytes
+    for d, r, s in ((1, 5, 0), (2, 7, 1), (3, 24, 1)):
+        rng = np.random.default_rng(s)
+        shape = (2 * r + 1,) * d
+        want = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want /= np.linalg.norm(want.ravel())
+        assert random_unit_sequence(d, r, seed=s).values.tobytes() == want.tobytes()
+    unit, peak = _peak(seq.normalized)
+    assert peak <= 1.1 * unit.values.nbytes
+    ext, peak = _peak(lambda: diagonal_extremizer(4, 8, 2))
+    assert peak <= 1.1 * ext.values.nbytes
+    for s in (seq, unit, ext):
+        assert not s.values.flags.writeable
+        with pytest.raises(ValueError):
+            s.values.flat[0] = 5.0
