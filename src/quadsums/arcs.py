@@ -318,27 +318,46 @@ class MollifierFamily:
     def _lambda_values(self, alphas: Iterable[float]) -> np.ndarray:
         """lambda at every alpha in one pass, equal to lambda_rho(alpha)[0]
         bit for bit: the same fold, holder search and one bump call."""
+        j, dx = self._nearest(alphas)
+        lam = np.zeros(dx.shape)
+        if self._fractions:
+            t = self._scales[j] * dx
+            held = np.abs(t) < 2
+            lam[held] = bump(t[held])
+        return lam
+
+    def _pieces_sum(self, alphas: Iterable[float]) -> np.ndarray:
+        """The sum of every Phi_{Q,s} at every alpha, shell by shell: phi_s
+        at the fraction that can hold alpha, over s_range(Q). It telescopes
+        to lambda only if every shell does."""
+        j, dx = self._nearest(alphas)
+        out = np.zeros(dx.shape)
+        for Q, s in self.index_pairs():
+            at = self._scales[j] == Q * self.N  # the fractions with q ~ Q
+            out[at] += self.phi_s(s, dx[at])
+        return out
+
+    def _nearest(self, alphas: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
+        """(j, x - a_j/q_j) for every alpha, folded to x: j is the fraction
+        whose support holds x when one does, as `_holder` finds it, and
+        otherwise one with QN |x - a_j/q_j| >= 2. With no fractions, (0, x):
+        there is nothing to index."""
         alpha = np.asarray(
             alphas if isinstance(alphas, np.ndarray) else list(alphas), dtype=float
         )
         if not np.isfinite(alpha).all():
             raise ValueError("alpha must be finite")
-        lam = np.zeros_like(alpha)
-        n = len(self._centres)
-        if n == 0:
-            return lam
         x = alpha % 1.0
+        if not self._fractions:
+            return np.zeros(x.shape, dtype=int), x
         x[x <= 1.0 / (2 * self.N1)] += 1.0
         i = np.searchsorted(self._centres, x, side="right")
         # the two centres around x, the left one first as in _holder (at
         # either end both are the one end centre)
-        left, right = np.maximum(i - 1, 0), np.minimum(i, n - 1)
-        t_left = self._scales[left] * (x - self._centres[left])
-        t_right = self._scales[right] * (x - self._centres[right])
-        t = np.where(np.abs(t_left) < 2, t_left, t_right)
-        held = np.abs(t) < 2
-        lam[held] = bump(t[held])
-        return lam
+        left, right = np.maximum(i - 1, 0), np.minimum(i, len(self._centres) - 1)
+        first = np.abs(self._scales[left] * (x - self._centres[left])) < 2
+        j = np.where(first, left, right)
+        return j, x - self._centres[j]
 
     # -- integrals and Fourier data
 

@@ -201,8 +201,8 @@ def cmd_scaling(cfg: RunConfig) -> int:
 
 
 def _worst(defects: np.ndarray) -> float:
-    """The largest defect, and 0.0 when there is none above it."""
-    return max(0.0, float(np.max(defects, initial=0.0)))
+    """The largest defect, 0.0 (not -0.0) if none is above it; NaN if any is."""
+    return float(np.max(defects, initial=0.0)) + 0.0
 
 
 def cmd_mollifier_check(cfg: RunConfig) -> int:
@@ -219,31 +219,26 @@ def cmd_mollifier_check(cfg: RunConfig) -> int:
     )
     checks.append(("partition-telescoping", defect, 1e-12))
 
-    # lambda at the samples and rho on the cores, each in one batched pass
+    # lambda summed from the pieces Phi_{Q,s} shell by shell, so a wrong shell
+    # shows, and rho in its own batched pass, at the samples and on the cores
     rng = np.random.default_rng(cfg.seed)
-    lam = fam._lambda_values(rng.random(cfg.samples))
-    rho = 1.0 - lam  # as lambda_rho forms it
+    alphas = rng.random(cfg.samples)
+    lam = fam._pieces_sum(alphas)
     outside = np.maximum(-lam, lam - 1.0)
     checks.append(("lambda-in-unit-interval", _worst(outside), 1e-12))
-    checks.append(("lambda-plus-rho-is-one", _worst(np.abs(lam + rho - 1.0)), 1e-12))
+    defect = np.abs(lam + fam.rho_values(alphas) - 1.0)
+    checks.append(("lambda-plus-rho-is-one", _worst(defect), 1e-12))
 
     # five points across each core a/q +- 1/(QN)
-    centres = np.array([a / q for _, a, q, _ in fam._fractions])
-    scales = np.array([Q * fam.N for *_, Q in fam._fractions])
-    cores = centres[:, None] + np.linspace(-1.0, 1.0, 5) / scales[:, None]
+    cores = fam._centres[:, None] + np.linspace(-1.0, 1.0, 5) / fam._scales[:, None]
     core_rho = np.abs(fam.rho_values(cores.ravel()))
     checks.append(("rho-vanishes-on-cores", _worst(core_rho), 1e-12))
 
-    mean_defect = max(
-        abs(fam.Psi_fourier(Q, s, 0)) for Q, s in fam.index_pairs()
-    )
+    mean_defect = max(abs(fam.Psi_fourier(Q, s, 0)) for Q, s in fam.index_pairs())
     checks.append(("pieces-mean-zero", mean_defect, 1e-8))
 
-    failures = 0
     for name, value, tol in checks:
         status = "pass" if value <= tol else "FAIL"
-        if status == "FAIL":
-            failures += 1
         print(f"{name}: defect={_fmt(value)} tol={_fmt(tol)} {status}")
 
     if cfg.out_csv:
@@ -259,7 +254,7 @@ def cmd_mollifier_check(cfg: RunConfig) -> int:
                 lines.append(f"{Q},{s},{n},{_fmt(val)},0,{_fmt(rhs)}")
         _write(cfg.out_csv, "\n".join(lines))
 
-    return OK if failures == 0 else TOLERANCE_FAILURE
+    return OK if all(value <= tol for _, value, tol in checks) else TOLERANCE_FAILURE
 
 
 def cmd_arc_check(cfg: RunConfig) -> int:
@@ -333,16 +328,15 @@ def cmd_diagonalize(cfg: RunConfig) -> int:
     form = parse_form_spec(_require(cfg, "form", "--form"))
     diag = diagonalize_rational(form)
     sig = signature(form)
-    print(f"transform rows: {[list(r) for r in diag.transform]}")
-    print(f"diagonal: {[str(c) for c in diag.coeffs]}")
+    payload = {
+        "transform": [list(r) for r in diag.transform],
+        "diagonal": [str(c) for c in diag.coeffs],
+        "signature": list(sig),
+    }
+    print(f"transform rows: {payload['transform']}")
+    print(f"diagonal: {payload['diagonal']}")
     print(f"signature: p={sig[0]} q={sig[1]} s={sig[2]}")
-    if cfg.out_json:
-        payload = {
-            "transform": [list(r) for r in diag.transform],
-            "diagonal": [str(c) for c in diag.coeffs],
-            "signature": list(sig),
-        }
-        _write(cfg.out_json, json.dumps(payload, sort_keys=True))
+    _write(cfg.out_json, json.dumps(payload, sort_keys=True))
     return OK
 
 

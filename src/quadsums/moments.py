@@ -456,16 +456,23 @@ class FieldScan:
     levels: list[tuple[float, float]] = field(default_factory=list)
 
 
+# Partials a truncated sum keeps before they are folded into a few floats.
+_PARTIALS = 2**16
+
+
 class _Cuts:
     """The statistics of a scan that read only cells at or above a cut: the
     sup, truncated moments ((p, absolute threshold) pairs) and level counts.
 
-    `add` takes one block of |F|. Cells below `lo`, the smallest threshold
-    or positive rung (+inf when there is none), reach no truncated moment
-    and no positive rung; a rung at 0 counts every cell without reading one.
-    Each block's truncated sums are kept apart and added exactly
-    (`math.fsum`) by `scan`: a running float sum over hundreds of blocks
-    would drift by several ulp.
+    `add` takes a block of |F|: 1-D cells or 2-D rows of cells. Cells below
+    `lo`, the smallest threshold or positive rung (+inf when there is none),
+    reach no truncated moment and no positive rung; a rung at 0 counts every
+    cell without reading one. A truncated sum keeps one partial per 1-D
+    block and per row of a 2-D block, however the rows are grouped, and
+    `scan` adds them exactly (`math.fsum`), as a running float sum would
+    drift by several ulp. Past `_PARTIALS` partials, so that a cut below
+    most cells keeps a short list, they are folded into a few floats with
+    the same exact sum, each `math.fsum` of the partials less those before.
     """
 
     def __init__(self, thresholds, lambdas):
@@ -487,11 +494,21 @@ class _Cuts:
         self.sup = max(self.sup, float(mag.max()))
         if self.lo == math.inf:
             return  # nothing to cut
-        tail = mag if self.lo <= 0 else mag[mag >= self.lo]
+        at = np.flatnonzero(mag >= self.lo)  # a take is faster than a mask
+        tail = mag.reshape(-1)[at]  # row by row for a 2-D block
         for p, thr in self.thresholds:
-            kept = tail[tail >= thr]
-            if kept.size:
-                self.trunc[(p, thr)].append(float(np.sum(_pow(kept, p))))
+            keep = tail >= thr
+            kept = _pow(tail[keep], p)
+            parts = self.trunc[(p, thr)]
+            if mag.ndim == 2:  # one partial per row, its cells added in order
+                parts += np.bincount(at[keep] // mag.shape[1], kept).tolist()
+            elif kept.size:
+                parts.append(float(np.sum(kept)))
+            if len(parts) > _PARTIALS:
+                rest = [math.fsum(parts)]
+                while rest[-1] != 0.0 and math.isfinite(rest[-1]):
+                    rest.append(math.fsum(parts + [-t for t in rest]))
+                parts[:] = rest
         if self.rungs.size:
             bins = np.searchsorted(self.rungs, tail, side="right")
             self.hist += np.bincount(bins, minlength=self.rungs.size + 1)
@@ -535,7 +552,8 @@ def scan_field(
     from the blocks' rows (`_scan_rows`), any other cell by cell
     (`_scan_cells`). The rows form only the cells a cut or the sup can
     reach: `sup` and the levels are the every-cell scan's bit for bit, and
-    the moments may move in the last ulp.
+    the moments may move in the last ulp. Every output of the rows depends
+    on the field alone, not on chunk, scratch or batch sizes.
     """
     cuts = _Cuts(thresholds, lambdas)
     if source.factors is not None and len(form.blocks) >= 2:
@@ -570,7 +588,9 @@ def _scan_rows(
     alpha, one point of A's theta axes) by |A_j| max|B|. Only rows whose
     bound reaches (1 - 2^-40) min(smallest cut, largest bound so far) form
     their cells A_j B, in the engine's operand order, for `_Cuts`: every
-    cell at or above a cut, or that can be the sup, is in such a row.
+    cell at or above a cut, or that can be the sup, is in such a row. A row
+    picked against a smaller bound so far adds only cells below every cut,
+    and `_Cuts` keeps one partial per row: every output is the field's alone.
     """
     slices = {p: [] for p in p_values}
     top = 0.0  # the largest row bound so far
@@ -585,17 +605,14 @@ def _reduce_rows(parts, slices, cuts: _Cuts, top: float) -> float:
     live rows' cells to `cuts`, returns the new largest row bound.
 
     The chunk is read in sub-blocks of slices whose |F_B|, powers, A and
-    bounds each fit in `expsum._SCRATCH_BYTES`, and each batch of live rows
-    gathers its entries of A from the blocks. The live rows are those of the
-    whole chunk at its largest bound: a sub-block whose rows were picked
-    against a smaller bound so far is filtered again at the end."""
+    bounds each fit in `expsum._SCRATCH_BYTES`; each sub-block's live rows
+    are picked from its own A and bounds, and their cells formed from that A
+    in batches of about `_SCAN_BLOCK` cells."""
     k = len(parts[0])
     b = parts[-1].reshape(k, -1)
-    a_parts = parts[:-1]
-    a_shape = np.broadcast_shapes(*(v.shape for v in a_parts))
-    n_a = math.prod(a_shape[1:])  # rows of A per slice
+    n_a = math.prod(np.broadcast_shapes(*(v.shape for v in parts[:-1]))[1:])
     step = max(1, expsum._SCRATCH_BYTES // (16 * max(n_a, b.shape[1])))
-    kept = []  # per sub-block: its rows over the cut, and their bounds if refiltered
+    per = max(1, _SCAN_BLOCK // b.shape[1])  # rows whose cells are formed at once
     for s0 in range(0, k, step):
         sub = [v[s0 : s0 + step] for v in parts]
         n = len(sub[0])
@@ -606,31 +623,17 @@ def _reduce_rows(parts, slices, cuts: _Cuts, top: float) -> float:
                 sums[p].append(_pow(mag, p).sum(axis=1))
         for p in sums:
             slices[p] += reduce(np.multiply, sums[p]).tolist()
-        bound = np.abs(reduce(np.multiply, sub[:-1])).reshape(n, -1)
+        a = reduce(np.multiply, sub[:-1]).reshape(-1)  # row i is in slice i // n_a
+        bound = np.abs(a).reshape(n, -1)
         bound *= mag.max(axis=1)[:, None]  # max |B| per slice
         top = max(top, float(bound.max()))
-        cut = min(cuts.lo, top)
         # the margin is far above the few ulp between a bound and its cells
-        rows = np.flatnonzero(bound >= (1 - 2.0**-40) * cut)
-        # a cut set by the bound so far rises with any larger later bound
-        again = None if cut == cuts.lo else bound.reshape(-1)[rows]
-        kept.append((rows + s0 * n_a, again))
-        del mag, bound  # only the kept rows from here on
-    cut = (1 - 2.0**-40) * min(cuts.lo, top)
-    live = np.concatenate([r if bd is None else r[bd >= cut] for r, bd in kept])
-    per = max(1, _SCAN_BLOCK // b.shape[1])  # rows whose cells are formed at once
-    for i in range(0, live.size, per):
-        batch = live[i : i + per]
-        at = np.unravel_index(batch, a_shape)
-        a = reduce(np.multiply, [_gather(v, at) for v in a_parts])
-        cells = np.multiply(a[:, None], b[batch // n_a])
-        cuts.add(np.abs(cells).ravel())
+        live = np.flatnonzero(bound >= (1 - 2.0**-40) * min(cuts.lo, top))
+        del mag, bound  # only A's live rows from here on
+        for i in range(0, live.size, per):
+            rows = live[i : i + per]
+            cuts.add(np.abs(np.multiply(a[rows, None], b[s0 + rows // n_a])))
     return top
-
-
-def _gather(v: np.ndarray, at) -> np.ndarray:
-    """The entries of `v` at the indices `at` of an array it broadcasts to."""
-    return v[tuple(i if size > 1 else 0 for i, size in zip(at, v.shape))]
 
 
 # Levels of the layer-cake Riemann sum, evenly spaced on [0, sup|F|).

@@ -9,8 +9,11 @@ import shlex
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from quadsums import MollifierFamily, diagonalize_rational, parse_form_spec, signature
+from quadsums.bump import bump
 from quadsums.cli import COMMANDS, build_parser, main, merge_config
 from quadsums.config import KNOWN_KEYS, OPTIONS, RunConfig, option_flag
 
@@ -230,6 +233,38 @@ def test_mollifier_check_passes():
     assert all(ln.endswith("pass") for ln in lines)
 
 
+def test_mollifier_check_catches_a_wrong_shell(monkeypatch):
+    # lambda + rho = 1 is checked with lambda summed from the shells phi_s:
+    # shells that drop their differencing no longer telescope
+    def undifferenced(self, s, x):
+        return bump(np.asarray(x, dtype=float) * float((1 << s) * self.N))
+
+    def undefined(self, s, x):
+        return np.full(np.shape(x), np.nan)
+
+    for shell in (undifferenced, undefined):  # a NaN defect fails too
+        monkeypatch.setattr(MollifierFamily, "phi_s", shell)
+        code, out, _ = _run(["mollifier-check", "--N", "64"])
+        assert code == 1
+        line = r"^lambda-plus-rho-is-one: defect=\S+ tol=\S+ FAIL$"
+        assert re.search(line, out, re.M), shell
+
+
+def test_mollifier_check_fourier_table(tmp_path):
+    path = tmp_path / "phi.csv"
+    code, _, _ = _run(["mollifier-check", "--N", "64", "--out-csv", str(path)])
+    assert code == 0
+    header, *rows = path.read_text().splitlines()
+    assert header == "Q,s,n,re,im,bound_rhs"
+    fam = MollifierFamily(64)
+    want = [(Q, s, n) for Q, s in fam.index_pairs() for n in range(-64, 65)]
+    assert len(rows) == len(want) == 129 * len(fam.index_pairs())
+    for row, (Q, s, n) in zip(rows, want):
+        q, s_, n_, re_, im, _ = row.split(",")
+        assert (int(q), int(s_), int(n_)) == (Q, s, n)
+        assert float(re_) == fam.Phi_fourier(Q, s, n) and im == "0"
+
+
 def test_mollifier_check_overlap_exits_2():
     code, _, err = _run(["mollifier-check", "--N", "32", "--c1", "1/8"])
     assert code == 2
@@ -320,6 +355,38 @@ def test_diagonalize_output():
     assert "diagonal: ['1/2', '-1/2']" in out
     assert "q_lat" not in out
     assert "signature: p=1 q=1 s=1" in out
+
+
+def test_diagonalize_json(tmp_path):
+    form = parse_form_spec("mat:3:0,1,0,1,0,0,0,0,-2")
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        code, _, _ = _run(["diagonalize", "--form", "mat:3:0,1,0,1,0,0,0,0,-2",
+                           "--out-json", str(path)])
+        assert code == 0
+    diag = diagonalize_rational(form)
+    assert json.loads(paths[0].read_text()) == {
+        "transform": [list(r) for r in diag.transform],
+        "diagonal": [str(c) for c in diag.coeffs],
+        "signature": list(signature(form)),
+    }
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_scaling_failures_exit_1():
+    # N = 64 cannot fit one alpha slice in 1000 cells: with two other N the
+    # sweep cannot fit; with three it fits and reports them, and still exits 1
+    base = ["scaling", "--max-cells", "1000", "--p", "4", "--N-list"]
+    code, out, err = _run(base + ["2,4,64"])
+    assert code == 1 and out == ""
+    assert "N=64 failed:" in err
+    assert "too few successful N values to fit" in err
+    code, out, err = _run(base + ["2,3,4,64"])
+    assert code == 1
+    assert "N=64 failed:" in err
+    lines = out.splitlines()
+    assert [ln.split()[0] for ln in lines[:3]] == ["N=2", "N=3", "N=4"]
+    assert len(lines) == 4 and lines[3].startswith("slope=")
 
 
 def test_outputs_are_byte_reproducible(tmp_path):
@@ -490,25 +557,25 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def _readme_examples():
-    """(argv, expected stdout lines) for each `$ quadsums` block; the lines
-    stop at a `...` line, which stands for the rest of the output."""
+    """(argv, expected stdout, whether it is a prefix) for each `$ quadsums`
+    block; a last `...` line stands for the rest of the output."""
     examples = []
     for block in re.findall(r"```text\n(.*?)```", README, re.S):
         cmd, *lines = block.splitlines()
         if cmd.startswith("$ quadsums "):
-            if "..." in lines:
-                lines = lines[: lines.index("...")]
-            examples.append((shlex.split(cmd)[2:], lines))
+            prefix = lines[-1:] == ["..."]
+            text = "".join(ln + "\n" for ln in (lines[:-1] if prefix else lines))
+            examples.append((shlex.split(cmd)[2:], text, prefix))
     return examples
 
 
 def test_readme_examples_reproduce():
     examples = _readme_examples()
     assert len(examples) == 6
-    for argv, lines in examples:
+    for argv, text, prefix in examples:
         code, out, err = _run(argv)
         assert code == 0 and err == "", argv
-        assert out.splitlines()[: len(lines)] == lines, argv
+        assert (out[: len(text)] if prefix else out) == text, argv
 
 
 def test_readme_config_keys_are_the_known_keys():

@@ -247,6 +247,17 @@ def test_representation_count():
     assert rnd4.count == _brute_even_moment(HYPER, ones_sequence(2, 2), 4)
 
 
+def test_representation_count_refuses_past_exact_floats(monkeypatch):
+    # the count is read off a float64 moment: exact below 2^53, refused at it
+    seq = ones_sequence(2, 2)
+    monkeypatch.setattr(moments, "even_moment_exact", lambda form, seq, p: 2.0**53 - 1)
+    rep = moments.representation_count(HYPER, seq, 4)
+    assert type(rep.count) is int and rep.count == 2**53 - 1
+    monkeypatch.setattr(moments, "even_moment_exact", lambda form, seq, p: 2.0**53)
+    with pytest.raises(ArithmeticError, match="past the exact float64 range"):
+        moments.representation_count(HYPER, seq, 4)
+
+
 def test_representation_count_keeps_the_product_structure(monkeypatch):
     seen = []
     exact = moments.even_moment_exact
@@ -1060,6 +1071,50 @@ def test_scratch_budget_moves_no_output(monkeypatch):
     default = _budget_outputs()
     monkeypatch.setattr(expsum, "_SCRATCH_BYTES", 300)
     assert _budget_outputs() == default
+
+
+def _row_scans():
+    """The row scan over `_FACTORED_CASES`: the sup alone, moments with no
+    cut, the level ladder under a low cut, and cuts near the sup that the
+    first rows of a chunk do not reach."""
+    out = []
+    rng = np.random.default_rng(28)
+    for form, seq in _FACTORED_CASES:
+        grid = TorusGrid.random_offset(seq.dim, 97, 2 * seq.radius + 3, rng)
+        alone = moments.scan_field(form, seq, grid, p_values=())
+        sup, ladder = alone.sup, tuple(moments.default_levels(seq, 9))
+        out.append(repr(alone))
+        out.append(repr(moments.scan_field(form, seq, grid, p_values=(2.0, 6.0))))
+        for thr, lams in (
+            (0.5 * ladder[2], ladder), (0.6 * sup, (0.6 * sup,)), (0.95 * sup, (sup,))
+        ):
+            scan = moments.scan_field(
+                form, seq, grid, p_values=(2.0, 6.0),
+                thresholds=((2.0, thr), (6.0, max(thr, ladder[2]))), lambdas=lams,
+            )
+            out.append(repr(scan))
+    return out
+
+
+def test_row_scan_depends_on_the_field_alone(monkeypatch):
+    # chunk, scratch and batch sizes and the worker count change which rows
+    # are read together and which are picked against a smaller bound so far,
+    # and a short list folds the row partials often; no output of the row
+    # scan moves a bit
+    default = _row_scans()
+    sizes = (expsum._CHUNK_BYTES, expsum._SCRATCH_BYTES, moments._SCAN_BLOCK)
+    for chunk, scratch, block, workers, partials in (
+        (2080, 300, 64, 1, 5),
+        (2080, sizes[1], 7, 2, moments._PARTIALS),
+        (sizes[0], 300, 7, 1, 1),
+        (sizes[0], sizes[1], 64, 2, moments._PARTIALS),
+    ):
+        monkeypatch.setattr(expsum, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(expsum, "_SCRATCH_BYTES", scratch)
+        monkeypatch.setattr(moments, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(expsum, "_WORKERS", workers)
+        monkeypatch.setattr(moments, "_PARTIALS", partials)
+        assert _row_scans() == default, (chunk, scratch, block, workers, partials)
 
 
 def test_pair_counts_memory():
