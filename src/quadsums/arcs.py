@@ -175,6 +175,10 @@ class MollifierFamily:
         # per-fraction tables of the pointwise evaluation, in centre order
         self._centres = np.array([a / q for _, a, q, _ in self._fractions])
         self._scales = np.array([float(Q * self.N) for *_, Q in self._fractions])
+        # the same tables as floats, for the pointwise lookups: bisect and
+        # arithmetic on Python floats skip numpy's per-scalar overhead
+        self._centre_list = self._centres.tolist()
+        self._scale_list = self._scales.tolist()
         self._totients = {
             Q: sum(_totient(q) for q in range(Q, 2 * Q)) for Q in self.dyadic_Q
         }
@@ -274,9 +278,10 @@ class MollifierFamily:
         """
         if not isfinite(x):
             raise ValueError("alpha must be finite")
-        i = bisect.bisect(self._centres, x)
-        for j in range(max(i - 1, 0), min(i + 1, len(self._centres))):
-            if abs(self._scales[j] * (x - self._centres[j])) < 2:
+        centres, scales = self._centre_list, self._scale_list
+        i = bisect.bisect(centres, x)
+        for j in range(max(i - 1, 0), min(i + 1, len(centres))):
+            if abs(scales[j] * (x - centres[j])) < 2:
                 return j
         return None
 
@@ -298,7 +303,7 @@ class MollifierFamily:
         j = self._holder(x)
         if j is None or self._fractions[j][3] != Q:
             return 0.0
-        return float(self.phi_s(s, x - self._centres[j]))
+        return float(self.phi_s(s, x - self._centre_list[j]))
 
     def lambda_rho(self, alpha: float) -> tuple[float, float]:
         """(lambda, rho) at alpha via the collapsed telescoped form
@@ -307,7 +312,7 @@ class MollifierFamily:
         j = self._holder(x)
         if j is None:
             return 0.0, 1.0
-        lam = bump(self._scales[j] * (x - self._centres[j]))
+        lam = bump(self._scale_list[j] * (x - self._centre_list[j]))
         return lam, 1.0 - lam
 
     def rho_values(self, alphas: Iterable[float]) -> np.ndarray:

@@ -17,6 +17,7 @@ _MOLLIFIER_MASS = 0.443993816168079437823048921171
 
 _GL_ORDER = 96
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+_GL_SHIFTED = _GL_NODES + 1.0  # the nodes mapped from [-1, 1] to [0, 2]
 
 _PANEL = 32
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL)
@@ -45,7 +46,7 @@ def _transition(u: np.ndarray) -> np.ndarray:
     # map [-1, u] onto the fixed rule; integrand vanishes to all orders
     # at the endpoints so the fixed order is ample (checked vs mpmath)
     half = 0.5 * (u + 1.0)
-    t = -1.0 + half[:, None] * (_GL_NODES[None, :] + 1.0)
+    t = -1.0 + half[:, None] * _GL_SHIFTED[None, :]
     vals = np.einsum("ij,j->i", _mollifier(t), _GL_WEIGHTS)
     return np.clip(vals * half / _MOLLIFIER_MASS, 0.0, 1.0)
 
@@ -61,7 +62,12 @@ def smoothstep(u):
             return 0.0
         if u >= 1.0:
             return 1.0
-        return float(_transition(np.array([u]))[0])
+        # `_transition`'s operations on the one row, without its 1-element
+        # arrays: the same bits as an array call
+        half = 0.5 * (u + 1.0)
+        row = _mollifier(-1.0 + half * _GL_SHIFTED)[None, :]
+        val = float(np.einsum("ij,j->i", row, _GL_WEIGHTS)[0]) * half / _MOLLIFIER_MASS
+        return min(max(val, 0.0), 1.0)
     u_arr = np.asarray(u, dtype=float)
     out = np.empty_like(u_arr)
     lo = u_arr <= -1.0

@@ -427,12 +427,15 @@ def _integral_batch(
     first. A block whose rule has more than `max_nodes` nodes, or whose table
     has more than `max_nodes` entries, raises ValueError.
     """
-    rules = [_composite_rule(o) for o in orders]
-    rows = [np.exp(2j * np.pi * N * np.outer(u, x)) for u, (x, _) in zip(values, rules)]
+    # the rule and its eta-weights once per distinct order, for this call only
+    rules = {o: _composite_rule(o) for o in set(orders)}
+    eta_w = {o: w * bump(x) for o, (x, w) in rules.items()}
+    nodes = [rules[o][0] for o in orders]
+    rows = [np.exp(2j * np.pi * N * np.outer(u, x)) for u, x in zip(values, nodes)]
     tables, order = [], []
     for ax, block in form.blocks:
-        axes = [rules[i][0] for i in ax]
-        weights = [rules[i][1] * bump(rules[i][0]) for i in ax]
+        axes = [nodes[i] for i in ax]
+        weights = [eta_w[orders[i]] for i in ax]
         total = prod(len(x) for x in axes)
         entries = prod(len(rows[i]) for i in ax)
         if max(total, entries) > max_nodes:

@@ -127,8 +127,9 @@ def even_moment_exact(
         keys, w = _fold(keys, w, point_keys, point_w)
     if not counting:
         return float(np.sum(w.real**2 + w.imag**2))
-    # a float64 estimate below 2^62 keeps the exact int64 sum below 2^63
-    if float(np.dot(w, w)) >= 2.0**62:
+    # a float64 estimate below 2^62 keeps the exact int64 sum below 2^63;
+    # np.einsum, not np.dot, whose BLAS ddot starts threads on long tables
+    if float(np.einsum("i,i->", w, w)) >= 2.0**62:
         raise ArithmeticError("sum of squared tuple counts leaves int64")
     counts = w.astype(np.int64)
     return _scaled_count(int(np.dot(counts, counts)), a_nz[0], k)
@@ -213,7 +214,7 @@ def _pair_counts(points, u: np.ndarray, k: int, max_entries: int) -> np.ndarray:
     keys, w, stride = np.zeros(1, dtype=np.int64), np.ones(1), 1
     for j in range(1, k + 1):
         # sum W_j^2 <= |S|^2 sum W_{j-1}^2 (Young), so refuse before the last fold
-        estimate = model * u.size**2 * float(np.dot(w, w))
+        estimate = model * u.size**2 * float(np.einsum("i,i->", w, w))
         if j == k and estimate >= 0.25:
             raise ArithmeticError(
                 f"pair counts past the exact FFT range (estimate {estimate})"
@@ -223,7 +224,7 @@ def _pair_counts(points, u: np.ndarray, k: int, max_entries: int) -> np.ndarray:
         stride = j * span_u + 1
         point_keys = (s * stride + (u - u_lo))[order]
         keys, w = _fold(row * stride + col, w, point_keys, None)
-    bound = model * float(np.dot(w, w))
+    bound = model * float(np.einsum("i,i->", w, w))
     n_h = n_fft // 2 + 1
     rows = max(1, min(n_s, expsum._SCRATCH_BYTES // (16 * n_h)))
     row_of, col_of = np.divmod(keys, n_u)

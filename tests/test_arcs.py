@@ -21,7 +21,7 @@ from quadsums import (
     random_unit_sequence,
     truncated_divisor,
 )
-from quadsums.bump import bump
+from quadsums.bump import _GL_NODES, bump, smoothstep
 
 HYPER = parse_form_spec("diag:1,-1")
 LINE = parse_form_spec("diag:1")
@@ -555,3 +555,59 @@ def test_lambda_values_match_lambda_rho():
         assert _bits(lam) == _bits([w[0] for w in want])
         assert _bits(1.0 - lam) == _bits(fam.rho_values(alphas))
         assert _bits(1.0 - lam) == _bits([w[1] for w in want])
+
+
+def test_pointwise_paths_match_batched_paths_bit_for_bit():
+    # the scalar bump row against the array rows, and the float-table lookups
+    # (lambda_rho, Phi_Qs, classify_arc) against the array ones (_nearest,
+    # _lambda_values), at the edges where a rounding could tell them apart
+    rng = np.random.default_rng(28)
+    near = [-1.0 + k * 2.0**-53 for k in (1, 2, 3, 8, 64)]
+    # each of these u puts the first nodes on t = -1 exactly: exp(-1/0) = 0
+    for u in near:
+        assert (-1.0 + 0.5 * (u + 1.0) * (_GL_NODES + 1.0) == -1.0).any()
+    u = np.array(near + [0.0, -0.0, 1.0, -1.0, float("nan")])
+    u = np.concatenate([u, rng.uniform(-1.1, 1.1, 5000)])
+    x = np.concatenate([(3.0 - u) / 2.0, -(3.0 - u) / 2.0, rng.uniform(-2.2, 2.2, 5000)])
+    for fn, pts in ((smoothstep, u), (bump, x)):
+        single = np.array([fn(float(v)) for v in pts])
+        assert single.tobytes() == fn(pts).tobytes(), fn
+    assert np.isnan(smoothstep(float("nan")))
+
+    for fam in (MollifierFamily(64), MollifierFamily(48)):
+        N, N1 = fam.N, fam.N1
+        edge = 1 / (2 * N1)  # the fold boundary
+        alphas = [edge, 1 + edge, edge - 1, 0.0, 1.0]
+        for _, a, q, Q in fam._fractions:
+            for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
+                alphas.append(a / q + t / (Q * N))
+        alphas = np.array(alphas)
+        alphas = np.concatenate(
+            [alphas, np.nextafter(alphas, -np.inf), np.nextafter(alphas, np.inf)]
+        )
+        j, dx = fam._nearest(alphas)
+        held = np.abs(fam._scales[j] * dx) < 2
+        folded = [fam.fold(float(alpha)) for alpha in alphas]
+        assert _bits(dx) == _bits([xf - fam._centres[k] for xf, k in zip(folded, j)])
+        assert [fam._holder(xf) for xf in folded] == [
+            int(k) if h else None for k, h in zip(j, held)
+        ]
+        lam = [fam.lambda_rho(float(alpha))[0] for alpha in alphas]
+        assert _bits(lam) == _bits(fam._lambda_values(alphas))
+        for Q, s in fam.index_pairs():
+            want = np.where(fam._scales[j] == Q * N, fam.phi_s(s, dx), 0.0)
+            got = [fam.Phi_Qs(Q, s, float(alpha)) for alpha in alphas]
+            assert _bits(got) == _bits(want), (Q, s)
+        majors = 0
+        for alpha, k, d, h in zip(alphas, j, dx, held):
+            _, a, q, Q = fam._fractions[k]
+            label = fam.classify_arc(float(alpha))
+            if h and q <= N1 and abs(d) <= float(fam.c1) / (q * N):
+                assert label == ArcLabel("major", a=a, q=q, Q=Q, beta=float(d))
+                majors += 1
+            else:
+                assert label == ArcLabel("minor")
+        assert majors >= len(fam._fractions)
+        # the edges are there: points held on both sides of |t| = 1 and 2
+        t = np.abs(fam._scales[j] * dx)
+        assert (held & (t > 1.0)).any() and (held & (t < 1.0)).any() and (~held).any()

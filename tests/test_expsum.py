@@ -1,6 +1,7 @@
 """Exponential sums: grids vs direct summation, complete sums, integrals."""
 
 import contextlib
+import functools
 import io
 import itertools
 import threading
@@ -742,6 +743,45 @@ def test_integral_batch_table_matches_one_point_calls():
             one = _integral_batch(form, beta, point, N, orders)
             assert one.shape == (1,) * form.dim
             assert abs(got[idx] - one.item()) <= 1e-13, (form, idx)
+
+
+def _per_axis_integral(form, beta, values, N, orders):
+    # _integral_batch in one slab, with the rule and the eta-weights built
+    # afresh for every axis
+    rules = [_composite_rule(o) for o in orders]
+    weights = [w * bump(x) for x, w in rules]
+    tables, order = [], []
+    for ax, block in form.blocks:
+        acc = (2j * np.pi * beta * N * N) * block.values_on([rules[i][0] for i in ax])
+        acc = np.exp(acc) * functools.reduce(np.multiply.outer, [weights[i] for i in ax])
+        for i in ax:
+            row = np.exp(2j * np.pi * N * np.outer(values[i], rules[i][0]))
+            acc = np.tensordot(acc, row, axes=([0], [1]))
+        tables.append(0.0 + acc)
+        order += ax
+    return functools.reduce(np.multiply.outer, tables).transpose(np.argsort(order))
+
+
+def test_integral_batch_weights_once_per_distinct_order(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return bump(x)
+
+    monkeypatch.setattr(expsum, "bump", counted)
+    rng = np.random.default_rng(28)
+    cases = (
+        (HYPER, (64, 64), 1),
+        (parse_form_spec("mat:2:0,1,1,0"), (32, 32), 1),
+        (HYPER, (32, 64), 2),
+    )
+    for form, orders, distinct in cases:
+        values = _major_arc_values(rng.random(2), q=3, m_cut=2)
+        calls.clear()
+        got = _integral_batch(form, 0.02, values, 4, orders)
+        assert len(calls) == distinct, (form, orders, calls)
+        assert np.array_equal(got, _per_axis_integral(form, 0.02, values, 4, orders))
 
 
 def test_integral_batch_refuses_an_oversized_value_table():
