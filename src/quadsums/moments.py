@@ -441,9 +441,9 @@ def _pow(mag: np.ndarray, p) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # streaming scan
 
-# Cells of a field chunk reduced at once, 2^15: their complex values fill the
-# scratch budget, and each pass's temporaries stay in cache. Fixed at import,
-# since it sets which cells are summed together.
+# Cells of a row of a field read as one part at most, and of the live block
+# rows formed at once, 2^15: their complex values fill the scratch budget.
+# Fixed at import, since it sets which cells of such a field are summed together.
 _SCAN_BLOCK = expsum._SCRATCH_BYTES // 16
 
 
@@ -457,23 +457,32 @@ class FieldScan:
     levels: list[tuple[float, float]] = field(default_factory=list)
 
 
-# Partials a truncated sum keeps before they are folded into a few floats.
+# Partials a sum keeps before they are folded into a few floats.
 _PARTIALS = 2**16
+
+
+def _fold_partials(parts: list) -> None:
+    """Past `_PARTIALS` partials, replace `parts` by a few floats with the
+    same exact sum (a running float sum would drift by several ulp), each
+    `math.fsum` of the partials less those before."""
+    if len(parts) > _PARTIALS:
+        rest = [math.fsum(parts)]
+        while rest[-1] != 0.0 and math.isfinite(rest[-1]):
+            rest.append(math.fsum(parts + [-t for t in rest]))
+        parts[:] = rest
 
 
 class _Cuts:
     """The statistics of a scan that read only cells at or above a cut: the
     sup, truncated moments ((p, absolute threshold) pairs) and level counts.
 
-    `add` takes a block of |F|: 1-D cells or 2-D rows of cells. Cells below
-    `lo`, the smallest threshold or positive rung (+inf when there is none),
-    reach no truncated moment and no positive rung; a rung at 0 counts every
-    cell without reading one. A truncated sum keeps one partial per 1-D
-    block and per row of a 2-D block, however the rows are grouped, and
-    `scan` adds them exactly (`math.fsum`), as a running float sum would
-    drift by several ulp. Past `_PARTIALS` partials, so that a cut below
-    most cells keeps a short list, they are folded into a few floats with
-    the same exact sum, each `math.fsum` of the partials less those before.
+    `add` takes rows of |F|, a 2-D block, and |F|^p of the same cells for
+    any p in `powers`, when the caller has formed them. Cells below `lo`,
+    the smallest threshold or positive rung (+inf when there is none), reach
+    no truncated moment and no positive rung; a rung at 0 counts every cell
+    without reading one. A truncated sum keeps one partial per row, its
+    cells added in order, however the rows are grouped, and `scan` adds
+    them exactly (`math.fsum`).
     """
 
     def __init__(self, thresholds, lambdas):
@@ -491,25 +500,19 @@ class _Cuts:
         self.hist = np.zeros(self.rungs.size + 1, dtype=np.int64)
         self.sup = 0.0
 
-    def add(self, mag: np.ndarray) -> None:
+    def add(self, mag: np.ndarray, powers: dict | None = None) -> None:
         self.sup = max(self.sup, float(mag.max()))
         if self.lo == math.inf:
             return  # nothing to cut
-        at = np.flatnonzero(mag >= self.lo)  # a take is faster than a mask
-        tail = mag.reshape(-1)[at]  # row by row for a 2-D block
+        flat = mag.reshape(-1)
+        at = np.flatnonzero(flat >= self.lo)  # a take is faster than a mask
+        tail = flat[at]
         for p, thr in self.thresholds:
-            keep = tail >= thr
-            kept = _pow(tail[keep], p)
+            keep = at[tail >= thr]
+            kept = powers[p].reshape(-1)[keep] if powers and p in powers else _pow(flat[keep], p)
             parts = self.trunc[(p, thr)]
-            if mag.ndim == 2:  # one partial per row, its cells added in order
-                parts += np.bincount(at[keep] // mag.shape[1], kept).tolist()
-            elif kept.size:
-                parts.append(float(np.sum(kept)))
-            if len(parts) > _PARTIALS:
-                rest = [math.fsum(parts)]
-                while rest[-1] != 0.0 and math.isfinite(rest[-1]):
-                    rest.append(math.fsum(parts + [-t for t in rest]))
-                parts[:] = rest
+            parts += np.bincount(keep // mag.shape[1], kept).tolist()  # one per row
+            _fold_partials(parts)
         if self.rungs.size:
             bins = np.searchsorted(self.rungs, tail, side="right")
             self.hist += np.bincount(bins, minlength=self.rungs.size + 1)
@@ -544,96 +547,90 @@ def scan_field(
 
     Levels are reported in ascending lambda order, each as the fraction of
     cells with |F| >= lambda; a negative lambda, and a non-finite lambda or
-    threshold, raise ValueError. Each chunk is reduced in `_SCAN_BLOCK`-cell
-    blocks, and truncated moments and positive rungs read only the cells at
-    or above the smallest cut. Chunking and blocking are deterministic, so
-    accumulation order and results are reproducible run to run.
+    threshold, raise ValueError.
 
-    A source that declares `factors` on a form of two or more blocks is read
-    from the blocks' rows (`_scan_rows`), any other cell by cell
-    (`_scan_cells`). The rows form only the cells a cut or the sup can
-    reach: `sup` and the levels are the every-cell scan's bit for bit, and
-    the moments may move in the last ulp. Every output of the rows depends
-    on the field alone, not on chunk, scratch or batch sizes.
+    Every field is read as rows by `_reduce_rows`: a source that declares
+    `factors` on a form of two or more blocks from its blocks' fields
+    (`expsum._block_fields`), any other from its chunks (`_field_rows`).
+    Every output depends on the field alone, not on chunk, scratch or batch
+    sizes or the worker count.
     """
     cuts = _Cuts(thresholds, lambdas)
-    if source.factors is not None and len(form.blocks) >= 2:
-        return _scan_rows(form, source, grid, p_values, cuts)
-    return _scan_cells(form, source, grid, p_values, cuts)
-
-
-def _scan_cells(
-    form: QuadraticForm, source, grid: TorusGrid, p_values, cuts: _Cuts
-) -> FieldScan:
-    """`scan_field` from every cell of the field."""
-    sums = {p: [] for p in p_values}  # per-block partial sums, as for the cuts
-    for _, vals in iter_field_chunks(form, source, grid):
-        flat = vals.reshape(-1)
-        for b0 in range(0, flat.size, _SCAN_BLOCK):
-            mag = np.abs(flat[b0 : b0 + _SCAN_BLOCK])
-            for p in sums:
-                sums[p].append(float(np.sum(_pow(mag, p))))
-            cuts.add(mag)
-    return cuts.scan(grid, {p: math.fsum(v) for p, v in sums.items()})
-
-
-def _scan_rows(
-    form: QuadraticForm, source, grid: TorusGrid, p_values, cuts: _Cuts
-) -> FieldScan:
-    """`scan_field` of a sequence that declares `factors` on a form of two
-    or more blocks, from the blocks' fields (`expsum._block_fields`).
-
-    A slice's p-th moment is the product over blocks of sum |F_B|^p; the
-    slices add with `math.fsum`. A, the product of every block but the last
-    B as the field engine forms it, bounds the cells of its row j (one
-    alpha, one point of A's theta axes) by |A_j| max|B|. Only rows whose
-    bound reaches (1 - 2^-40) min(smallest cut, largest bound so far) form
-    their cells A_j B, in the engine's operand order, for `_Cuts`: every
-    cell at or above a cut, or that can be the sup, is in such a row. A row
-    picked against a smaller bound so far adds only cells below every cut,
-    and `_Cuts` keeps one partial per row: every output is the field's alone.
-    """
+    factored = source.factors is not None and len(form.blocks) >= 2
+    chunks = (_block_fields if factored else _field_rows)(form, source, grid)
     slices = {p: [] for p in p_values}
     top = 0.0  # the largest row bound so far
-    for parts in _block_fields(form, source, grid):
+    for parts in chunks:
         top = _reduce_rows(parts, slices, cuts, top)
     return cuts.scan(grid, {p: math.fsum(v) for p, v in slices.items()})
 
 
-def _reduce_rows(parts, slices, cuts: _Cuts, top: float) -> float:
-    """One alpha chunk of `_scan_rows`: the blocks' rows `parts`, laid onto
-    the field's axes. Appends each slice's moments to `slices`, feeds the
-    live rows' cells to `cuts`, returns the new largest row bound.
+def _field_rows(form: QuadraticForm, source, grid: TorusGrid):
+    """Yield each field chunk as one part, viewed as rows: a row spans the
+    trailing theta axes whose m_theta^e cells, e >= 1, are the most that fit
+    in `_SCAN_BLOCK`. Only the grid's shape sets it."""
+    m = grid.m_theta
+    e = max([1] + [j for j in range(2, grid.dim + 1) if m**j <= _SCAN_BLOCK])
+    for _, vals in iter_field_chunks(form, source, grid):
+        yield [vals.reshape(-1, m**e)]
 
-    The chunk is read in sub-blocks of slices whose |F_B|, powers, A and
+
+def _reduce_rows(parts, slices, cuts: _Cuts, top: float) -> float:
+    """One alpha chunk of `scan_field`: `parts` laid onto the field's axes,
+    whose broadcast product is the field. Appends each slice's moments to
+    `slices`, feeds the live rows' cells to `cuts`, returns the new largest
+    row bound.
+
+    A slice's p-th moment is the product over parts of sum |part|^p. Of two
+    or more parts, A, the product of every part but the last B as the field
+    engine forms it, bounds the cells of its row j (one alpha, one point of
+    A's theta axes) by |A_j| max|B|; one part is rows of |F|, each its own
+    slice, bounded by its own max. Only rows whose bound reaches
+    (1 - 2^-40) min(smallest cut, largest bound so far) give their cells to
+    `_Cuts`: every cell at or above a cut, or that can be the sup, is in
+    such a row. A row picked against a smaller bound so far adds only cells
+    below every cut, and `_Cuts` keeps one partial per row: every output is
+    the field's alone.
+
+    The chunk is read in sub-blocks of slices whose |parts|, powers, A and
     bounds each fit in `expsum._SCRATCH_BYTES`; each sub-block's live rows
-    are picked from its own A and bounds, and their cells formed from that A
-    in batches of about `_SCAN_BLOCK` cells."""
+    are picked from its own bounds, and their cells, A_j B in the engine's
+    operand order or the |F| of one part, passed on about `_SCAN_BLOCK` at
+    a time."""
     k = len(parts[0])
     b = parts[-1].reshape(k, -1)
     n_a = math.prod(np.broadcast_shapes(*(v.shape for v in parts[:-1]))[1:])
     step = max(1, expsum._SCRATCH_BYTES // (16 * max(n_a, b.shape[1])))
-    per = max(1, _SCAN_BLOCK // b.shape[1])  # rows whose cells are formed at once
+    per = max(1, _SCAN_BLOCK // b.shape[1])  # rows whose cells are passed at once
     for s0 in range(0, k, step):
         sub = [v[s0 : s0 + step] for v in parts]
         n = len(sub[0])
         sums = {p: [] for p in slices}
-        for v in sub:  # one block's |F_B| at a time
+        for v in sub:  # one part's |F_B| at a time
             mag = np.abs(v).reshape(n, -1)
-            for p in sums:
-                sums[p].append(_pow(mag, p).sum(axis=1))
+            pw = {p: _pow(mag, p) for p in sums}
+            for p, w in pw.items():
+                sums[p].append(w.sum(axis=1))
         for p in sums:
             slices[p] += reduce(np.multiply, sums[p]).tolist()
-        a = reduce(np.multiply, sub[:-1]).reshape(-1)  # row i is in slice i // n_a
-        bound = np.abs(a).reshape(n, -1)
-        bound *= mag.max(axis=1)[:, None]  # max |B| per slice
+            _fold_partials(slices[p])
+        if len(sub) == 1:  # a row is its own slice, bounded by its own max
+            bound = mag.max(axis=1)
+        else:
+            a = reduce(np.multiply, sub[:-1]).reshape(-1)  # row i is in slice i // n_a
+            bound = np.abs(a).reshape(n, -1)
+            bound *= mag.max(axis=1)[:, None]  # max |B| per slice
         top = max(top, float(bound.max()))
         # the margin is far above the few ulp between a bound and its cells
         live = np.flatnonzero(bound >= (1 - 2.0**-40) * min(cuts.lo, top))
-        del mag, bound  # only A's live rows from here on
+        del bound
         for i in range(0, live.size, per):
             rows = live[i : i + per]
-            cuts.add(np.abs(np.multiply(a[rows, None], b[s0 + rows // n_a])))
+            if len(sub) > 1:
+                cuts.add(np.abs(np.multiply(a[rows, None], b[s0 + rows // n_a])))
+            else:  # |F| and its powers as formed, not copied when every row is live
+                at = slice(None) if rows.size == n else rows
+                cuts.add(mag[at], {p: w[at] for p, w in pw.items()})
     return top
 
 

@@ -6,8 +6,10 @@ import io
 import itertools
 import threading
 import tracemalloc
+from fractions import Fraction
 from math import gcd
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -497,6 +499,61 @@ def test_field_phases_exact_at_large_k_times_R():
                 assert abs(vals[i, t[0], t[1]] - want) <= 1e-12 * seq.l1_norm
                 checked += 1
     assert checked == 12
+
+
+def _mp_weight_sum(w, alpha, theta):
+    """F(alpha, theta) of the smooth weight on diag:1,-1 for exact rational
+    alpha and theta, to 113 bits: F = S(alpha, theta_1) S(-alpha, theta_2),
+    each S(a, t) = sum_n eta(n/N) e(a n^2 + t n) summed directly in mpmath,
+    with every phase reduced mod 1 in exact rationals."""
+    r = w.radius
+    prof = [mp.mpf(float(x)) for x in w.profile()]
+    out = mp.mpc(1)
+    with mp.workprec(113):
+        for a, t in ((alpha, theta[0]), (-alpha, theta[1])):
+            terms = []
+            for n in range(-r, r + 1):
+                ph = (a * n * n + t * n) % 1
+                terms.append(prof[n + r] * mp.expjpi(2 * mp.mpf(ph.numerator) / ph.denominator))
+            out *= mp.fsum(terms)
+    return complex(out)
+
+
+def test_field_and_direct_sum_against_mpmath_at_large_phases():
+    # SmoothWeight N=64 on diag:1,-1 has |R(n)| up to 127^2, and the grid has
+    # nonzero offsets, so the engine's twist and extension_direct both round
+    # phases of up to 2e4 turns in float64, and extension_direct at alpha + K
+    # phases of up to 1.7e7. Against 113-bit sums the field is within
+    # 1e-13 ||w||_1 (worst measured 3.3e-15 ||w||_1), and extension_direct
+    # within that plus the rounding of alpha R(n), 2 pi 2^-53 |alpha| max|R|
+    # ||w||_1 (worst measured 1.9e-11 ||w||_1, at K = 1023)
+    w = SmoothWeight(2, 64)
+    rng = np.random.default_rng(30)
+    off = tuple(float(x) for x in rng.random(3))
+    m_alpha, m_theta = 64, 2 * w.radius + 1
+    grid = TorusGrid(2, m_alpha, m_theta, off)
+    l1, r_max = w.l1_norm, w.radius**2
+    checked = 0
+    for start, vals in iter_field_chunks(HYPER, w, grid):
+        for i in range(vals.shape[0]):
+            k = start + i
+            if k < m_alpha - 4:
+                continue
+            j = rng.integers(m_theta, size=2)
+            alpha = Fraction(off[0]) + Fraction(k, m_alpha)
+            theta = [Fraction(off[1 + q]) + Fraction(int(j[q]), m_theta) for q in (0, 1)]
+            want = _mp_weight_sum(w, alpha, theta)
+            assert abs(vals[i, j[0], j[1]] - want) <= 1e-13 * l1
+            checked += 1
+    assert checked == 4
+    for K in (0, 1, 37, 512, 1023):
+        for _ in range(2):
+            alpha = float(rng.random()) + K
+            theta = [float(x) for x in rng.random(2)]
+            got = extension_direct(HYPER, w, alpha, theta)
+            want = _mp_weight_sum(w, Fraction(alpha), [Fraction(t) for t in theta])
+            tol = (1e-13 + 2 * np.pi * 2.0**-53 * alpha * r_max) * l1
+            assert abs(got - want) <= tol, (alpha, abs(got - want) / l1)
 
 
 def test_grid_too_coarse_rejected():

@@ -787,6 +787,37 @@ def test_scan_field_blocked_at_scale():
     assert scan.levels == [(27.0, np.count_nonzero(mags >= 27.0) / mags.size)]
 
 
+def test_scan_of_one_part_skips_dead_rows(monkeypatch):
+    # a source without factors is read as one part of rows: with a cut near
+    # the sup only the rows that reach it give their cells to the cuts, and
+    # sup, levels and the truncated sum are still those of the whole field
+    seq = random_unit_sequence(2, 4, seed=11)
+    grid = TorusGrid.random_offset(2, 200, 13, np.random.default_rng(29))
+    mags = np.abs(_field(HYPER, seq, grid))
+    thr = 0.9 * float(mags.max())
+    seen = []
+    real = moments._Cuts.add
+
+    def counting(self, mag, *powers):
+        seen.append(mag.size)
+        return real(self, mag, *powers)
+
+    monkeypatch.setattr(moments._Cuts, "add", counting)
+    scan = moments.scan_field(
+        HYPER, seq, grid, p_values=(6.0,), thresholds=((6.0, thr),),
+        lambdas=(0.0, 0.95 * thr, thr),
+    )
+    assert 0 < sum(seen) < grid.total_cells // 4
+    assert scan.sup == mags.max()
+    for lam, m in scan.levels:
+        assert m == np.count_nonzero(mags >= lam) / mags.size
+    assert scan.levels[-1][1] > 0.0
+    want = float(np.sum(mags[mags >= thr] ** 6)) * grid.cell_measure
+    assert scan.truncated[(6.0, thr)] == pytest.approx(want, rel=1e-13)
+    want = float(np.sum(mags**6)) * grid.cell_measure
+    assert scan.moments[6.0] == pytest.approx(want, rel=1e-13)
+
+
 def test_level_set_scaling_proxy():
     # |{|F| > lambda}| * lambda^q * N^{-1/2} at lambda = 1.5 sqrt(N), q = 4.5
     # stays within a factor 4 across doublings; frozen regression check
@@ -849,10 +880,10 @@ def test_report_over_two_grids_averages_single_grid_reports():
 
 
 def _every_cell_report(monkeypatch, *args, **kwargs):
-    # build_report with every grid scanned cell by cell, as scan_field does
-    # for a source without factors
+    # build_report with every grid's field, the engine's product of the
+    # blocks, read as one part, as scan_field reads a source without factors
     with monkeypatch.context() as m:
-        m.setattr(moments, "_scan_rows", moments._scan_cells)
+        m.setattr(moments, "_block_fields", moments._field_rows)
         return moments.build_report(*args, **kwargs)
 
 
@@ -884,10 +915,26 @@ _FACTORED_CASES = [
 ]
 
 
+# `_FACTORED_CASES` on the grid sizes of the row-scan tests
+_FACTORED_ROWS = [(form, seq, 97, 2 * seq.radius + 3) for form, seq in _FACTORED_CASES]
+
+
+# (form, source, m_alpha, m_theta) read as one part of rows: sources without
+# factors, or on a form of one block. At m_theta = 33 a slice of the
+# irreducible d = 3 form is over 2^15 cells, so it splits into 33 rows
+_ONE_PART_CASES = [
+    (HYPER, random_unit_sequence(2, 3, seed=7), 97, 9),
+    (parse_form_spec("mat:2:0,1,1,0"), _without_factors(np.ones((7, 7))), 97, 9),
+    (LINE, ones_sequence(1, 4), 97, 11),
+    (parse_form_spec("mat:3:1,1,0,1,2,1,0,1,-1"), random_unit_sequence(3, 1, seed=5), 3, 33),
+]
+
+
 def test_report_from_block_rows_matches_the_field(monkeypatch):
     # a factored source takes the block-row path; its report equals the one
-    # read cell by cell from the same field, and its sup and moments equal,
-    # to rounding, those of the same values without factors (d-dim engine)
+    # read from the engine's product of its blocks as one part, and its sup
+    # and moments equal, to rounding, those of the same values without
+    # factors (d-dim engine)
     rng = np.random.default_rng(24)
     for form, seq in _FACTORED_CASES:
         d, r = seq.dim, seq.radius
@@ -925,8 +972,8 @@ def test_report_from_block_rows_matches_the_field(monkeypatch):
 
 def test_scans_with_no_cut_from_block_rows_match_the_field(monkeypatch):
     # with no cut only the rows that can reach the sup form cells: the sup,
-    # the levels and the layer-cake value are the every-cell scan's bit for
-    # bit, and the moments equal it to rounding
+    # the levels and the layer-cake value are those of the engine's product
+    # read as one part bit for bit, and the moments equal it to rounding
     rng = np.random.default_rng(26)
     for form, seq in _FACTORED_CASES:
         grid = TorusGrid.random_offset(seq.dim, 97, 2 * seq.radius + 3, rng)
@@ -937,7 +984,7 @@ def test_scans_with_no_cut_from_block_rows_match_the_field(monkeypatch):
         )
         got = [call() for call in calls]
         with monkeypatch.context() as m:
-            m.setattr(moments, "_scan_rows", moments._scan_cells)
+            m.setattr(moments, "_block_fields", moments._field_rows)
             want = [call() for call in calls]
         for scan, cells in zip(got[:2], want[:2]):
             assert scan.sup == cells.sup > 0.0
@@ -949,8 +996,8 @@ def test_scans_with_no_cut_from_block_rows_match_the_field(monkeypatch):
 
 def test_report_from_block_rows_over_many_chunks(monkeypatch):
     # small row chunks: the largest bound so far grows across chunks; the
-    # report stays that of the every-cell scan and is the same at 1 and 2
-    # workers
+    # report stays that of the engine's product read as one part and is the
+    # same at 1 and 2 workers
     rng = np.random.default_rng(25)
     monkeypatch.setattr(expsum, "_CHUNK_BYTES", 16 * 2 * 13 * 5)
     for form, seq in (
@@ -1021,8 +1068,8 @@ def _budget_outputs():
     ]
     for form, seq, grid in fields:
         out.append(_field(form, seq, grid).tobytes())
-    for form, seq in _FACTORED_CASES + [(HYPER, random_unit_sequence(2, 3, seed=7))]:
-        grid = TorusGrid.random_offset(seq.dim, 97, 2 * seq.radius + 3, rng)
+    for form, seq, m_alpha, m_theta in _FACTORED_ROWS + _ONE_PART_CASES:
+        grid = TorusGrid.random_offset(seq.dim, m_alpha, m_theta, rng)
         sup = moments.scan_field(form, seq, grid, p_values=()).sup
         ladder = tuple(moments.default_levels(seq, 9))
         # every cell, a low cut, and cuts near the sup that the first rows
@@ -1073,14 +1120,14 @@ def test_scratch_budget_moves_no_output(monkeypatch):
     assert _budget_outputs() == default
 
 
-def _row_scans():
-    """The row scan over `_FACTORED_CASES`: the sup alone, moments with no
-    cut, the level ladder under a low cut, and cuts near the sup that the
-    first rows of a chunk do not reach."""
+def _row_scans(cases):
+    """The scans of `cases`, (form, source, m_alpha, m_theta): the sup
+    alone, moments with no cut, the level ladder under a low cut, and cuts
+    near the sup that the first rows of a chunk do not reach."""
     out = []
     rng = np.random.default_rng(28)
-    for form, seq in _FACTORED_CASES:
-        grid = TorusGrid.random_offset(seq.dim, 97, 2 * seq.radius + 3, rng)
+    for form, seq, m_alpha, m_theta in cases:
+        grid = TorusGrid.random_offset(seq.dim, m_alpha, m_theta, rng)
         alone = moments.scan_field(form, seq, grid, p_values=())
         sup, ladder = alone.sup, tuple(moments.default_levels(seq, 9))
         out.append(repr(alone))
@@ -1099,9 +1146,11 @@ def _row_scans():
 def test_row_scan_depends_on_the_field_alone(monkeypatch):
     # chunk, scratch and batch sizes and the worker count change which rows
     # are read together and which are picked against a smaller bound so far,
-    # and a short list folds the row partials often; no output of the row
-    # scan moves a bit
-    default = _row_scans()
+    # and a short list folds the partials often; no output of a scan moves a
+    # bit. `_SCAN_BLOCK` sets the rows of a field read as one part, so it is
+    # held there, and varied for block rows
+    factored = _row_scans(_FACTORED_ROWS)
+    one_part = _row_scans(_ONE_PART_CASES)
     sizes = (expsum._CHUNK_BYTES, expsum._SCRATCH_BYTES, moments._SCAN_BLOCK)
     for chunk, scratch, block, workers, partials in (
         (2080, 300, 64, 1, 5),
@@ -1111,10 +1160,13 @@ def test_row_scan_depends_on_the_field_alone(monkeypatch):
     ):
         monkeypatch.setattr(expsum, "_CHUNK_BYTES", chunk)
         monkeypatch.setattr(expsum, "_SCRATCH_BYTES", scratch)
-        monkeypatch.setattr(moments, "_SCAN_BLOCK", block)
         monkeypatch.setattr(expsum, "_WORKERS", workers)
         monkeypatch.setattr(moments, "_PARTIALS", partials)
-        assert _row_scans() == default, (chunk, scratch, block, workers, partials)
+        monkeypatch.setattr(moments, "_SCAN_BLOCK", sizes[2])
+        setting = (chunk, scratch, block, workers, partials)
+        assert _row_scans(_ONE_PART_CASES) == one_part, setting
+        monkeypatch.setattr(moments, "_SCAN_BLOCK", block)
+        assert _row_scans(_FACTORED_ROWS) == factored, setting
 
 
 def test_pair_counts_memory():
