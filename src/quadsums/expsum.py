@@ -114,6 +114,8 @@ class TorusGrid:
         return self.offset[0] + np.arange(self.m_alpha) / self.m_alpha
 
     def theta_values(self, axis: int) -> np.ndarray:
+        if axis not in range(self.dim):
+            raise ValueError(f"theta axis must lie in range({self.dim}), got {axis!r}")
         return self.offset[1 + axis] + np.arange(self.m_theta) / self.m_theta
 
     @property

@@ -546,8 +546,9 @@ def scan_field(
     ((p, absolute threshold) pairs), level-set counts and the sup norm.
 
     Levels are reported in ascending lambda order, each as the fraction of
-    cells with |F| >= lambda; a negative lambda, and a non-finite lambda or
-    threshold, raise ValueError.
+    cells with |F| >= lambda; a negative lambda, a non-finite lambda or
+    threshold, and an exponent p (of `p_values` or of a threshold pair) that
+    is not positive and finite raise ValueError before any field is formed.
 
     Every field is read as rows by `_reduce_rows`: a source that declares
     `factors` on a form of two or more blocks from its blocks' fields
@@ -555,6 +556,9 @@ def scan_field(
     Every output depends on the field alone, not on chunk, scratch or batch
     sizes or the worker count.
     """
+    for p in [*p_values, *(p for p, _ in thresholds)]:
+        if not (math.isfinite(p) and p > 0):
+            raise ValueError(f"p must be positive and finite, got {p}")
     cuts = _Cuts(thresholds, lambdas)
     factored = source.factors is not None and len(form.blocks) >= 2
     chunks = (_block_fields if factored else _field_rows)(form, source, grid)

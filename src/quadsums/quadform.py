@@ -1,9 +1,10 @@
 """Integer quadratic forms: exact evaluation, signature, rational diagonalization.
 
 A form is a symmetric d x d integer matrix M acting as R(n) = n^T M n.
-Diagonalization is Lagrange's completing-the-square over exact rationals,
-returning R(v) = sum_i D_i (T v)_i^2 with T rational (rows normalized to
-primitive integer vectors) and D_i nonzero rationals.
+Diagonalization is Lagrange's completing-the-square over exact rationals, one
+rank-one step per coefficient in the form's own coordinates, returning
+R(v) = sum_i D_i (T v)_i^2 with T rational (rows normalized to primitive
+integer vectors) and D_i nonzero rationals.
 """
 
 from __future__ import annotations
@@ -142,66 +143,31 @@ def _mat_mul(a, b):
 
 
 def diagonalize_rational(form: QuadraticForm) -> RationalDiagonalization:
-    """Lagrange diagonalization over Q.
+    """Lagrange diagonalization over Q, in the form's own coordinates.
 
-    Completing the square where a diagonal entry is available; otherwise the
-    hyperbolic substitution y_i = z_i + z_j, y_j = z_i - z_j to create one.
-    The accumulated inverse substitution maps the extracted functionals back
-    to the original coordinates.
+    One rank-one step, repeated on the remaining matrix A (at first M): take
+    w = e_i at the first nonzero diagonal entry of A, or else w = e_i + e_j at
+    the first nonzero off-diagonal entry (i < j), so c = w^T A w != 0 (it is
+    2 A_ij on a zero diagonal). Record the functional (A w) / c with
+    coefficient c, and set A <- A - (A w)(A w)^T / c: then
+    v^T A v = c ((A w) / c . v)^2 + v^T A' v, and A' w = 0 lowers the rank.
     """
     d = form.dim
     A = [[Fraction(v) for v in row] for row in form.matrix]
-    # current coords z relate to original v by z = Vinv v
-    Vinv = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     raw_rows: list[list[Fraction]] = []
     raw_coeffs: list[Fraction] = []
-
-    def nonzero_diag():
-        for i in range(d):
-            if A[i][i] != 0:
-                return i
-        return None
-
-    def nonzero_offdiag():
-        for i in range(d):
-            for j in range(i + 1, d):
-                if A[i][j] != 0:
-                    return i, j
-        return None
-
-    while True:
-        i = nonzero_diag()
-        if i is None:
-            ij = nonzero_offdiag()
-            if ij is None:
-                break
-            i, j = ij
-            # y_i = z_i + z_j, y_j = z_i - z_j; inverse halves the sum/difference
-            for r in range(d):
-                air, ajr = A[i][r], A[j][r]
-                A[i][r], A[j][r] = air + ajr, air - ajr
-            for c in range(d):
-                aci, acj = A[c][i], A[c][j]
-                A[c][i], A[c][j] = aci + acj, aci - acj
-            half = Fraction(1, 2)
-            row_i = [half * (Vinv[i][c] + Vinv[j][c]) for c in range(d)]
-            row_j = [half * (Vinv[i][c] - Vinv[j][c]) for c in range(d)]
-            Vinv[i], Vinv[j] = row_i, row_j
-            i = nonzero_diag()
-        piv = A[i][i]
-        func_z = [A[i][c] / piv for c in range(d)]
-        func_v = [
-            sum(func_z[k] * Vinv[k][c] for k in range(d)) for c in range(d)
-        ]
-        raw_rows.append(func_v)
-        raw_coeffs.append(piv)
+    # each w by its support: every e_i first, then every e_i + e_j
+    supports = [(i,) for i in range(d)]
+    supports += [(i, j) for i in range(d) for j in range(i + 1, d)]
+    while w := next((s for s in supports if A[s[0]][s[-1]]), None):
+        Aw = [sum(row[k] for k in w) for row in A]
+        c = sum(Aw[k] for k in w)
+        func = [a / c for a in Aw]
+        raw_rows.append(func)
+        raw_coeffs.append(c)
         for r in range(d):
-            for c in range(d):
-                if r != i and c != i:
-                    A[r][c] -= A[r][i] * A[i][c] / piv
-        for r in range(d):
-            A[r][i] = Fraction(0)
-            A[i][r] = Fraction(0)
+            if Aw[r]:
+                A[r] = [a - Aw[r] * f for a, f in zip(A[r], func)]
 
     if len(raw_rows) != d:
         raise ValueError("degenerate form slipped through construction checks")

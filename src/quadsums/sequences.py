@@ -53,6 +53,7 @@ class CoefficientSequence:
     product is `values`; the field engine then evaluates F as a product of
     1-D sums on diagonal forms. With `values` None the factors define them,
     built once; given both, the outer product must equal `values` exactly.
+    A NaN or infinite entry of a given array raises ValueError.
     Equality and hashing are by identity, so a sequence can key a dict or
     sit in a set.
     """
@@ -71,6 +72,8 @@ class CoefficientSequence:
             arr = _read_only(self.values)
             if arr.shape != shape:
                 raise ValueError(f"values shape {arr.shape} != expected {shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError("values must be finite")
             object.__setattr__(self, "values", arr)
         elif self.factors is None:
             raise ValueError("values may be None only when factors are given")
@@ -81,6 +84,8 @@ class CoefficientSequence:
             raise ValueError(
                 f"factors must be {self.dim} arrays of shape {shape[:1]}"
             )
+        if not all(np.isfinite(f).all() for f in facs):
+            raise ValueError("factors must be finite")
         object.__setattr__(self, "factors", facs)
         if self.values is None:  # built once, with nothing to check
             object.__setattr__(self, "values", reduce(np.multiply.outer, facs))

@@ -49,6 +49,11 @@ def test_torus_grid_layout():
     grid = TorusGrid(1, 4, 5, (0.5, 0.25))
     assert np.allclose(grid.alphas(), np.arange(4) / 4 + 0.5)
     assert np.allclose(grid.theta_values(0), np.arange(5) / 5 + 0.25)
+    # axis -1 would read the alpha offset, axis dim would run past the offsets
+    for g in (grid, TorusGrid(2, 20, 11, (0.1, 0.2, 0.3))):
+        for axis in (-1, g.dim):
+            with pytest.raises(ValueError, match="theta axis"):
+                g.theta_values(axis)
     assert grid.total_cells == 20
     assert abs(grid.cell_measure - 1 / 20) <= 1e-18
     cent = TorusGrid.centered(2, 3, 7)

@@ -627,7 +627,7 @@ def test_grid_moment_matches_exact_on_cross_forms():
             assert abs(scan.moments[2.0] - norm2) <= 1e-9 * norm2, form.matrix
 
 
-def test_truncated_moment_monotone_in_C():
+def test_truncated_moment_monotone_in_C(monkeypatch):
     seq = ones_sequence(1, 4)
     grid = moments.nyquist_grid(LINE, 4, 1, 4)
     # threshold C * N^{d/4} * ||a||_2 at N = 4, d = 1
@@ -656,6 +656,17 @@ def test_truncated_moment_monotone_in_C():
             moments.build_report(LINE, seq, [grid], 4, C=C)
     with pytest.raises(ValueError, match="threshold must be finite"):
         moments.scan_field(LINE, seq, grid, thresholds=[(4, float("nan"))])
+    # an exponent that is not positive and finite is refused before any field
+    # is formed: -1 would return a number, nan and inf would fail inside _pow
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was formed")
+
+    monkeypatch.setattr(moments, "iter_field_chunks", no_field)
+    for p in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            moments.scan_field(LINE, seq, grid, p_values=(p,))
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            moments.scan_field(LINE, seq, grid, thresholds=[(p, 1.0)])
 
 
 def test_level_set_measures():

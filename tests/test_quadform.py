@@ -1,6 +1,7 @@
 """Integer quadratic form arithmetic, diagonalization, and signatures."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -123,12 +124,37 @@ def test_diagonalize_hyperbolic_plane():
     assert list(diag.coeffs) == [Fraction(1, 2), Fraction(-1, 2)]
 
 
+def _zero_diagonal_forms(rng):
+    # on a zero diagonal the first step takes w = e_i + e_j; on the sparse
+    # draws and the d = 4 form below, so do later ones
+    yield parse_form_spec("mat:4:0,0,-3,1,0,0,1,-3,-3,1,0,0,1,-3,0,0")
+    for dim, density in itertools.product((4, 5, 6), (1.0, 0.5) * 3):
+        while True:
+            m = rng.integers(-5, 6, size=(dim, dim))
+            m = np.triu(m * (rng.random((dim, dim)) < density), 1)
+            m = m + m.T
+            if round(float(np.linalg.det(m))) != 0:
+                yield QuadraticForm(m)
+                break
+
+
+def _diagonalize_inputs(rng, count):
+    for _ in range(count):
+        yield _random_form(rng, int(rng.integers(1, 5)))
+    yield from _zero_diagonal_forms(rng)
+
+
 def test_diagonalize_round_trip_exact():
     rng = np.random.default_rng(23)
-    for _ in range(100):
-        dim = int(rng.integers(1, 5))
-        form = _random_form(rng, dim)
+    for form in _diagonalize_inputs(rng, 100):
+        dim = form.dim
         diag = diagonalize_rational(form)
+        T, D = diag.transform, diag.coeffs
+        for i, j in itertools.product(range(dim), repeat=2):
+            mij = sum(D[k] * T[k][i] * T[k][j] for k in range(dim))
+            assert mij == form.matrix[i][j]
+        for row in T:
+            assert math.gcd(*row) == 1 and next(v for v in row if v) > 0
         for _ in range(10):
             v = [int(x) for x in rng.integers(-20, 21, size=dim)]
             lhs = Fraction(evaluate(form, v))
@@ -136,14 +162,12 @@ def test_diagonalize_round_trip_exact():
 
 
 def test_diagonalize_signature_consistent():
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        dim = int(rng.integers(1, 5))
-        form = _random_form(rng, dim)
+    for form in _diagonalize_inputs(np.random.default_rng(31), 50):
         diag = diagonalize_rational(form)
         pos = sum(1 for c in diag.coeffs if c > 0)
         neg = sum(1 for c in diag.coeffs if c < 0)
         assert (pos, neg, min(pos, neg)) == signature(form)
+        assert (pos, neg, min(pos, neg)) == signature_by_charpoly(form)
 
 
 def test_frequency_bound_values():

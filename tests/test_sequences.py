@@ -137,6 +137,26 @@ def test_save_load_round_trip():
     assert np.array_equal(back.values, seq.values)
 
 
+def test_non_finite_entries_are_refused():
+    # a NaN would vanish from the sup and poison every moment of the field
+    for bad in ("nan 0", "0 inf", "-inf 1"):
+        buf = io.StringIO("2 1\n" + bad + "\n" + "1 0\n" * 8)
+        with pytest.raises(ValueError, match="values must be finite"):
+            load_sequence(buf)
+    one = np.ones(3)
+    for x in (np.nan, np.inf, complex(0, -np.inf)):
+        vals = np.ones((3, 3), dtype=np.complex128)
+        vals[1, 2] = x
+        with pytest.raises(ValueError, match="values must be finite"):
+            CoefficientSequence(2, 1, vals)
+        bad = one.astype(np.complex128)
+        bad[0] = x
+        with pytest.raises(ValueError, match="factors must be finite"):
+            CoefficientSequence(2, 1, None, factors=(one, bad))
+        with pytest.raises(ValueError, match="factors must be finite"):
+            CoefficientSequence(2, 1, np.ones((3, 3)), factors=(bad, one))
+
+
 def test_values_read_only():
     seq = ones_sequence(1, 2)
     with pytest.raises(ValueError):
